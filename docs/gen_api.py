@@ -28,9 +28,6 @@ MODULES = [
     "repro.machine.presets",
     "repro.dag.graph", "repro.dag.bitmap", "repro.dag.forest",
     "repro.dag.transitive", "repro.dag.stats", "repro.dag.export",
-    "repro.dag.columnar.bitmatrix", "repro.dag.columnar.block",
-    "repro.dag.columnar.builders", "repro.dag.columnar.graph",
-    "repro.dag.columnar.passes",
     "repro.dag.builders.cache",
     "repro.dag.builders.base", "repro.dag.builders.compare_all",
     "repro.dag.builders.landskov", "repro.dag.builders.table_forward",

@@ -299,12 +299,9 @@ def _schedule_resilient(args: argparse.Namespace, source: str, machine,
             blocks, machine, chain=chain, budget=budget,
             verify=args.verify, journal=journal,
             on_block=emit, jobs=jobs, cache=cache,
-            tracer=tracer, metrics=metrics,
-            supervise=not getattr(args, "no_supervise", False),
-            retry=retry,
+            tracer=tracer, metrics=metrics, retry=retry,
             quarantine_dir=getattr(args, "quarantine_dir", None),
-            mem_limit_mb=getattr(args, "worker_mem_mb", None),
-            columnar=getattr(args, "columnar", False))
+            mem_limit_mb=getattr(args, "worker_mem_mb", None))
     except BatchInterrupted as exc:
         out(f"! interrupted: {exc}")
         return 130
@@ -537,7 +534,6 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         mem_limit_mb=args.worker_mem_mb,
         quarantine_dir=args.quarantine_dir,
         wal_dir=args.wal_dir,
-        columnar=args.columnar,
         telemetry=args.telemetry,
         overload=overload)
     server = ReproServer(config, metrics=registry, tracer=tracer)
@@ -735,7 +731,6 @@ def _cmd_bench(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     doc = run_bench(machine, machine_name=args.machine,
                     copies=args.copies, repeats=args.repeats,
                     jobs=args.jobs, quick=args.quick,
-                    columnar=args.columnar,
                     tracer=tracer, metrics=registry)
     write_bench(doc, out_path)
     _write_obs(args, tracer, registry)
@@ -890,11 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes for the section 6 "
                                "pipeline (outcomes and journal stay "
                                "identical to --jobs 1)")
-    schedule.add_argument("--no-supervise", action="store_true",
-                          help="use the legacy unsupervised process "
-                               "pool with --jobs N (a worker death "
-                               "then aborts the batch instead of "
-                               "retrying/quarantining the block)")
     schedule.add_argument("--retries", type=int, default=None,
                           metavar="N",
                           help="crash retries per block before "
@@ -915,12 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disable the pairwise-dependence cache "
                                "(schedules are identical either way; "
                                "this exists for timing comparisons)")
-    schedule.add_argument("--columnar", action="store_true",
-                          help="structure-of-arrays fast path (numpy): "
-                               "columnar table-forward builder and "
-                               "vectorized heuristic passes; "
-                               "schedules, journals, and work "
-                               "counters are byte-identical")
     schedule.add_argument("--journal", default=None, metavar="PATH",
                           help="write per-block outcomes to a JSONL "
                                "journal as the run progresses")
@@ -974,10 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="small workload and fewer repeats "
                             "(CI smoke mode)")
-    bench.add_argument("--columnar", action="store_true",
-                       help="also run the batch comparison on the "
-                            "columnar fast path and gate on schedule "
-                            "identity (numpy required)")
     bench.add_argument("--out", "--out-json", dest="out", default=None,
                        metavar="PATH",
                        help="output document path (default: "
@@ -1212,10 +1192,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "attributed crashes)")
     serve.add_argument("--quarantine-dir", default=None, metavar="DIR",
                        help="reproducer directory for jobs >= 2")
-    serve.add_argument("--columnar", action="store_true",
-                       help="serve on the structure-of-arrays fast "
-                            "path (numpy required; byte-identical "
-                            "frames and summaries)")
     serve.add_argument("--wal-dir", default=None, metavar="DIR",
                        help="durability directory: every admitted "
                             "request is fsynced to a write-ahead log "

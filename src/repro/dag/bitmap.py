@@ -14,12 +14,9 @@ and popcount, so a map is just an ``int`` per node.
 
 from __future__ import annotations
 
-from repro.dag.graph import Dag, DagNode
+from typing import Sequence
 
-try:  # numpy is optional at this layer; see weighted_descendant_sum
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _np = None
+from repro.dag.graph import Dag
 
 
 class ReachabilityMap:
@@ -90,36 +87,38 @@ class ReachabilityMap:
             bits ^= low
         return out
 
-    def weighted_descendant_sum(self, a: int, weights) -> int:
-        """Sum of ``weights[d]`` over the descendants ``d`` of ``a``.
+    def weighted_descendant_sum(self, a: int,
+                                planes: list[tuple[int, int]]) -> int:
+        """Sum of the weights of ``a``'s descendants.
 
-        Replaces the per-bit extraction loop the backward heuristic
-        pass used to run per node (quadratic over dense maps): the map
-        is viewed as a byte string, expanded to a 0/1 mask, and dotted
-        with the weight vector in one vectorized step.  Falls back to
-        the bit-extraction loop when numpy is unavailable.  Touches no
-        work counters, like the other descendant accessors.
+        ``planes`` comes from :func:`weight_planes`, built once per
+        pass: bit plane ``k`` masks the node ids whose weight has bit
+        ``k`` set, so the sum is ``sum(popcount(row & mask_k) << k)``
+        -- the paper's population-count idiom, one AND and popcount
+        per plane instead of a walk over every descendant bit.
+        Touches no work counters, like the other descendant accessors.
         """
         bits = self._maps[a] & ~(1 << a)
-        if not bits:
-            return 0
-        if _np is not None:
-            raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-            mask = _np.unpackbits(
-                _np.frombuffer(raw, dtype=_np.uint8), bitorder="little")
-            n = min(mask.size, len(weights))
-            w = _np.asarray(weights[:n], dtype=_np.int64)
-            return int(mask[:n].astype(_np.int64) @ w)
-        total = 0
-        while bits:
-            low = bits & -bits
-            total += weights[low.bit_length() - 1]
-            bits ^= low
-        return total
+        return sum((bits & mask).bit_count() << k for k, mask in planes)
 
     def raw(self, a: int) -> int:
         """The raw bitset for node ``a`` (self bit included)."""
         return self._maps[a]
+
+
+def weight_planes(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """Bit-plane masks of non-negative integer weights, indexed by id.
+
+    Returns ``(k, mask_k)`` pairs where bit ``i`` of ``mask_k`` is bit
+    ``k`` of ``weights[i]``.  Feeds
+    :meth:`ReachabilityMap.weighted_descendant_sum`.
+    """
+    planes = []
+    for k in range(max(weights, default=0).bit_length()):
+        digits = "".join("1" if w >> k & 1 else "0"
+                         for w in reversed(weights))
+        planes.append((k, int(digits, 2)))
+    return planes
 
 
 def compute_reachability(dag: Dag) -> ReachabilityMap:

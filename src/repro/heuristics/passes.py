@@ -26,7 +26,7 @@ With uniform arc delays the two definitions coincide.
 
 from __future__ import annotations
 
-from repro.dag.bitmap import ReachabilityMap
+from repro.dag.bitmap import ReachabilityMap, weight_planes
 from repro.dag.graph import Dag, DagNode
 
 
@@ -76,7 +76,7 @@ def forward_pass(dag: Dag) -> None:
 
 def _backward_visit(node: DagNode, critical_length: int,
                     rmap: ReachabilityMap | None,
-                    exec_sums: list[int] | None) -> None:
+                    exec_planes: list[tuple[int, int]] | None) -> None:
     """Compute one node's backward heuristics from its finished children."""
     path = delay = 0
     lst = critical_length - node.execution_time
@@ -96,12 +96,9 @@ def _backward_visit(node: DagNode, critical_length: int,
     node.slack = node.lst - node.est
     if rmap is not None:
         node.n_descendants = rmap.descendant_count(node.id)
-        if exec_sums is not None:
-            # One masked dot product over the bitmap row instead of
-            # extracting every descendant id bit by bit (which was
-            # quadratic over the dense maps of deep blocks).
+        if exec_planes is not None:
             node.sum_exec_descendants = \
-                rmap.weighted_descendant_sum(node.id, exec_sums)
+                rmap.weighted_descendant_sum(node.id, exec_planes)
 
 
 def _critical_length(dag: Dag) -> int:
@@ -136,10 +133,10 @@ def backward_pass(dag: Dag, descendants: bool = False,
     critical = _critical_length(dag)
     dag.critical_length = critical  # for incremental updates
     rmap = ReachabilityMap(len(dag)) if descendants else None
-    exec_sums = ([n.execution_time for n in dag.nodes]
-                 if descendants else None)
+    exec_planes = (weight_planes([n.execution_time for n in dag.nodes])
+                   if descendants else None)
     for node in reversed(dag.topological_order()):
-        _backward_visit(node, critical, rmap, exec_sums)
+        _backward_visit(node, critical, rmap, exec_planes)
 
 
 def backward_pass_levels(dag: Dag, descendants: bool = False,
@@ -158,8 +155,8 @@ def backward_pass_levels(dag: Dag, descendants: bool = False,
     critical = _critical_length(dag)
     dag.critical_length = critical  # for incremental updates
     rmap = ReachabilityMap(len(dag)) if descendants else None
-    exec_sums = ([n.execution_time for n in dag.nodes]
-                 if descendants else None)
+    exec_planes = (weight_planes([n.execution_time for n in dag.nodes])
+                   if descendants else None)
     for level in reversed(levels):
         for node in level:
-            _backward_visit(node, critical, rmap, exec_sums)
+            _backward_visit(node, critical, rmap, exec_planes)

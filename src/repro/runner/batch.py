@@ -19,19 +19,14 @@ Two performance knobs ride on top without changing any outcome:
   and every aggregate come out byte-identical to a serial run.
 
 The parallel path runs on the crash-isolated
-:class:`~repro.runner.supervisor.SupervisedPool` by default: a worker
-death (segfault, OOM kill, ``os._exit``) costs one block attempt, not
-the batch -- the block is retried with backoff and, past its retry
-budget, quarantined with a ``quarantined`` journal record.  Pass
-``supervise=False`` for the legacy ``ProcessPoolExecutor`` path, where
-a dead worker degrades to a typed :class:`~repro.errors.ReproError`
-pointing at the resumable journal.
+:class:`~repro.runner.supervisor.SupervisedPool`: a worker death
+(segfault, OOM kill, ``os._exit``) costs one block attempt, not the
+batch -- the block is retried with backoff and, past its retry budget,
+quarantined with a ``quarantined`` journal record.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -59,8 +54,6 @@ from repro.runner.supervisor import (
     CircuitBreaker,
     RetryPolicy,
     SupervisedPool,
-    _init_worker,
-    _run_block,
 )
 from repro.runner.watchdog import Budget
 
@@ -145,10 +138,6 @@ class BatchResult:
         return total
 
 
-# The worker-side plumbing (``_init_worker`` / ``_run_block``) lives
-# in :mod:`repro.runner.supervisor` and is shared by both pool
-# flavors.
-
 def run_batch(blocks: Sequence[BasicBlock],
               machine: MachineModel,
               chain: Sequence[str] | None = None,
@@ -156,7 +145,6 @@ def run_batch(blocks: Sequence[BasicBlock],
                   tuple[str, Callable[[], DagBuilder]]] | None = None,
               budget: Budget | None = None,
               priority: Callable | None = None,
-              heuristic_driver: str = "reverse_walk",
               verify: bool = False,
               journal: RunJournal | None = None,
               on_block: Callable[[BlockOutcome], None] | None = None,
@@ -164,14 +152,12 @@ def run_batch(blocks: Sequence[BasicBlock],
               cache: PairwiseCache | None = None,
               tracer: Tracer | None = None,
               metrics: MetricsRegistry | None = None,
-              supervise: bool = True,
               retry: RetryPolicy | None = None,
               chaos: object | None = None,
               task_timeout: float | None = None,
               quarantine_dir: str | None = None,
               breaker: CircuitBreaker | None = None,
               mem_limit_mb: int | None = None,
-              columnar: bool = False,
               ) -> BatchResult:
     """Run the resilient scheduling pipeline over ``blocks``.
 
@@ -191,19 +177,19 @@ def run_batch(blocks: Sequence[BasicBlock],
             hanging or broken builder.
         budget: per-block watchdog limits.
         priority: scheduling priority (default: section 6 winnowing).
-        heuristic_driver: "reverse_walk" or "levels".
         verify: independently verify every accepted schedule.
         journal: an open :class:`RunJournal` for checkpoint/resume.
         on_block: progress callback invoked after every block outcome
             (replayed ones included), in program order.
         jobs: worker processes.  1 (the default) runs in-process;
-            ``N > 1`` schedules un-journaled blocks on a pool while
-            preserving program-order journaling and callbacks, so the
-            journal and every aggregate are byte-identical to ``jobs=1``
-            (work-budget trips included; wall-clock budgets remain
-            load-sensitive either way).  Incompatible with a custom
-            ``priority`` or ``chain_factories`` (closures do not
-            pickle); workers always use the section 6 defaults.
+            ``N > 1`` schedules un-journaled blocks on the supervised
+            pool while preserving program-order journaling and
+            callbacks, so the journal and every aggregate are
+            byte-identical to ``jobs=1`` (work-budget trips included;
+            wall-clock budgets remain load-sensitive either way).
+            Incompatible with a custom ``priority`` or
+            ``chain_factories`` (closures do not pickle); workers
+            always use the section 6 defaults.
         cache: optional shared pairwise-dependence cache for the serial
             path; with ``jobs > 1`` pass ``cache`` as usual and each
             worker builds its own (caches hold live DAG nodes and
@@ -221,11 +207,6 @@ def run_batch(blocks: Sequence[BasicBlock],
             registries are merged in program order; every merge is
             commutative, so the stable snapshot section is
             byte-identical to a ``jobs=1`` run's.
-        supervise: with ``jobs > 1``, run on the crash-isolated
-            :class:`~repro.runner.supervisor.SupervisedPool` (the
-            default) instead of the legacy ``ProcessPoolExecutor``.
-            Clean runs are byte-identical either way; only the
-            supervised pool survives worker death.
         retry: supervised-pool crash retry/backoff policy (default
             :class:`~repro.runner.supervisor.RetryPolicy`).
         chaos: optional fault-injection plan
@@ -247,12 +228,6 @@ def run_batch(blocks: Sequence[BasicBlock],
             :class:`~repro.runner.supervisor.SupervisedPool`).  OOM
             deaths then surface as attributed ``"oom"`` crashes
             instead of anonymous SIGKILLs.
-        columnar: run the structure-of-arrays fast path (requires
-            numpy): ``table-forward`` chain entries use the columnar
-            builder and heuristics run on the vectorized driver.
-            Outcomes, journals, and work counters are byte-identical
-            to the object path -- this is a performance knob, like
-            ``cache`` and ``jobs``.
 
     Returns:
         The aggregated :class:`BatchResult`.
@@ -272,8 +247,7 @@ def run_batch(blocks: Sequence[BasicBlock],
             "factories to worker processes; use the defaults or jobs=1")
     chain_names = tuple(chain) if chain else DEFAULT_CHAIN
     if chain_factories is None:
-        chain_factories = resolve_chain(chain_names, machine, cache=cache,
-                                        columnar=columnar)
+        chain_factories = resolve_chain(chain_names, machine, cache=cache)
     tracer = tracer or NULL_TRACER
     result = BatchResult(chain=tuple(name for name, _ in chain_factories))
     completed = journal.completed if journal is not None else {}
@@ -281,29 +255,18 @@ def run_batch(blocks: Sequence[BasicBlock],
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
 
-    pending: dict[int, "object"] = {}
-    pool = None
     spool = None
     if jobs > 1:
         fresh = [b for b in todo if b.index not in completed]
-        if fresh and supervise:
+        if fresh:
             spool = SupervisedPool(
-                fresh, machine, chain_names, budget, heuristic_driver,
-                verify, cache is not None, bool(tracer),
-                metrics is not None, jobs, retry=retry, chaos=chaos,
+                fresh, machine, chain_names, budget, verify,
+                cache is not None, bool(tracer), metrics is not None,
+                jobs, retry=retry, chaos=chaos,
                 task_timeout=task_timeout,
                 quarantine_dir=quarantine_dir, breaker=breaker,
                 tracer=tracer, metrics=metrics,
-                mem_limit_mb=mem_limit_mb, columnar=columnar)
-        elif fresh:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(fresh)),
-                initializer=_init_worker,
-                initargs=(machine, chain_names, budget, heuristic_driver,
-                          verify, cache is not None, bool(tracer),
-                          metrics is not None, mem_limit_mb, columnar))
-            pending = {b.index: pool.submit(_run_block, b)
-                       for b in fresh}
+                mem_limit_mb=mem_limit_mb)
     finished = False
     try:
         # The batch span's attrs deliberately exclude ``jobs``: the
@@ -335,41 +298,11 @@ def run_batch(blocks: Sequence[BasicBlock],
                                 metrics.merge(dumped)
                     if journal is not None:
                         journal.append(outcome)
-                elif block.index in pending:
-                    try:
-                        record, counters, block_stats, obs = \
-                            pending.pop(block.index).result()
-                    except BrokenProcessPool as exc:
-                        where = (f"; completed blocks are journaled in "
-                                 f"{journal.path!r} -- re-run with "
-                                 f"--resume to continue"
-                                 if journal is not None else
-                                 "; re-run with --journal to make the "
-                                 "batch resumable, or with the "
-                                 "supervised pool (the default) to "
-                                 "survive worker death")
-                        raise ReproError(
-                            f"worker process died while scheduling "
-                            f"block {block.index} (unsupervised pool "
-                            f"aborts on worker death){where}") from exc
-                    outcome = BlockOutcome.from_record(record)
-                    if obs is not None:
-                        entries, dumped = obs
-                        if entries:
-                            tracer.absorb(entries,
-                                          parent=tracer.current_span)
-                        if dumped and metrics is not None:
-                            metrics.merge(dumped)
-                    if journal is not None:
-                        journal.append(outcome)
                 else:
                     outcome = schedule_block_resilient(
                         block, machine, chain_factories, budget=budget,
-                        priority=priority,
-                        heuristic_driver=heuristic_driver,
-                        verify=verify, cache=cache, tracer=tracer,
-                        metrics=metrics, breaker=breaker,
-                        columnar=columnar)
+                        priority=priority, verify=verify, cache=cache,
+                        tracer=tracer, metrics=metrics, breaker=breaker)
                     if journal is not None:
                         journal.append(outcome)
                 if metrics is not None:
@@ -408,8 +341,6 @@ def run_batch(blocks: Sequence[BasicBlock],
             journal_path=path, n_completed=result.n_blocks,
             n_total=len(todo)) from None
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
         if spool is not None:
             spool.shutdown(kill=not finished)
             result.supervisor_stats = spool.stats

@@ -56,8 +56,10 @@ from repro.workloads.kernels import straightline_source
 
 #: schema version of the emitted JSON (2: added batch.metrics -- the
 #: observability snapshot with cache hit/miss totals; 3: added the
-#: fpppp-scale section and the optional columnar batch variant)
-BENCH_VERSION = 3
+#: fpppp-scale section and an optional fourth batch variant; 4: the
+#: fpppp section always runs and times only the table-forward build,
+#: and the batch section is back to three variants)
+BENCH_VERSION = 4
 
 #: the paper's largest block: fpppp tops Table 3 at ~11,750
 #: instructions in a single basic block
@@ -129,28 +131,16 @@ def fpppp_block(target: int = FPPPP_TARGET):
     return blocks[0]
 
 
-def _arc_tuples(dag) -> list[tuple]:
-    return [(a.parent.id, a.child.id, a.dep.name, a.delay,
-             str(a.resource)) for a in dag.arcs()]
-
-
 def _bench_fpppp(machine: MachineModel, repeats: int,
                  quick: bool) -> dict:
-    """Table-building throughput at the paper's largest block size.
+    """Table-building cost at the paper's largest block size.
 
-    Times the object table-forward builder against the columnar packed
-    kernel on one fpppp-scale block, gates on byte identity (arcs,
-    work counters, heuristic annotations, and the accepted schedule),
-    and traces the ``n**2`` builder's quadratic blow-up at sub-scale
-    sizes -- running it at full scale is exactly the cost the paper's
-    table-driven construction exists to avoid, so the full-size cost
-    is reported as a predicted comparison count instead.
+    Times the table-forward builder on one fpppp-scale block, schedules
+    the result, and traces the ``n**2`` builder's quadratic blow-up at
+    sub-scale sizes -- running it at full scale is exactly the cost
+    the paper's table-driven construction exists to avoid, so the
+    full-size cost is reported as a predicted comparison count instead.
     """
-    from repro.dag.columnar import HAVE_NUMPY
-    if not HAVE_NUMPY:
-        return {"available": False, "reason": "numpy not installed"}
-    from repro.dag.columnar.builders import ColumnarTableForwardBuilder
-    from repro.dag.columnar.passes import columnar_backward_pass
     from repro.pipeline import SECTION6_PRIORITY
     from repro.scheduling.list_scheduler import schedule_forward
 
@@ -160,31 +150,8 @@ def _bench_fpppp(machine: MachineModel, repeats: int,
 
     object_s, outcome = _best_of(
         repeats, lambda: TableForwardBuilder(machine).build(block))
-    columnar = ColumnarTableForwardBuilder(machine)
-    packed_s, (cdag, cstats) = _best_of(
-        repeats, lambda: columnar.build_packed(block))
-
-    # Identity gate: the packed path must reproduce the object build
-    # byte for byte -- arcs in order, counters, annotations, schedule.
-    mdag = cdag.to_dag()
-    if _arc_tuples(outcome.dag) != _arc_tuples(mdag):
-        raise ReproError(
-            "fpppp bench invariant violated: columnar arcs differ "
-            "from the object builder's")
-    if outcome.stats.__dict__ != cstats.__dict__:
-        raise ReproError(
-            "fpppp bench invariant violated: columnar work counters "
-            "differ from the object builder's")
     backward_pass(outcome.dag, require_est=False)
-    columnar_backward_pass(mdag, require_est=False)
     sched = schedule_forward(outcome.dag, machine, SECTION6_PRIORITY)
-    csched = schedule_forward(mdag, machine, SECTION6_PRIORITY)
-    if ([node.id for node in sched.order]
-            != [node.id for node in csched.order]
-            or sched.timing.makespan != csched.timing.makespan):
-        raise ReproError(
-            "fpppp bench invariant violated: columnar schedule "
-            "differs from the object path's")
 
     # The n**2 blow-up curve, measured where it is still affordable.
     n2_cls = BUILDER_CLASSES["n2"]
@@ -197,18 +164,13 @@ def _bench_fpppp(machine: MachineModel, repeats: int,
                       "time_s": round(sub_s, 6),
                       "comparisons": sub_out.stats.comparisons})
     return {
-        "available": True,
         "n_instructions": n,
         "target": target,
         "object_build_s": round(object_s, 6),
-        "columnar_build_s": round(packed_s, 6),
-        "throughput_multiple": round(object_s / packed_s, 2)
-        if packed_s > 0 else None,
         "arcs": outcome.dag.n_arcs,
-        "table_probes": cstats.table_probes,
-        "alias_checks": cstats.alias_checks,
+        "table_probes": outcome.stats.table_probes,
+        "alias_checks": outcome.stats.alias_checks,
         "makespan": sched.timing.makespan,
-        "schedule_identical": True,
         "n2_curve": curve,
         "predicted_full_n2_comparisons": n * (n - 1) // 2,
     }
@@ -311,26 +273,13 @@ def _records(result) -> list[str]:
 
 def _bench_batch(blocks, machine: MachineModel, repeats: int,
                  jobs: int, tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 columnar: bool = False) -> dict:
-    """The section 6 pipeline three ways; schedules must be identical.
-
-    With ``columnar`` a fourth variant runs on the structure-of-arrays
-    fast path and joins the identity gate -- the block records must be
-    byte-identical to the object baseline's.
-    """
+                 metrics: MetricsRegistry | None = None) -> dict:
+    """The section 6 pipeline three ways; schedules must be identical."""
     baseline_s, baseline = _best_of(
         repeats, lambda: run_batch(blocks, machine, verify=True))
     cached_s, cached = _best_of(
         repeats, lambda: run_batch(blocks, machine, verify=True,
                                    cache=PairwiseCache()))
-    columnar_s = None
-    columnar_run = None
-    if columnar:
-        columnar_s, columnar_run = _best_of(
-            repeats, lambda: run_batch(blocks, machine, verify=True,
-                                       cache=PairwiseCache(),
-                                       columnar=True))
     # One cache per run (cold start included) keeps the measurement
     # honest; cache_info reports the last run's hit/miss split.  The
     # probe run also carries the observability instruments (off the
@@ -350,14 +299,12 @@ def _bench_batch(blocks, machine: MachineModel, repeats: int,
     base_records = _records(baseline)
     identical = base_records == _records(cached) \
         and base_records == _records(run_for_info) \
-        and (parallel is None or base_records == _records(parallel)) \
-        and (columnar_run is None
-             or base_records == _records(columnar_run))
+        and (parallel is None or base_records == _records(parallel))
     if not identical:
         raise ReproError(
-            "bench invariant violated: cached/parallel/columnar runs "
-            "produced different block records than the baseline")
-    best_optimized = min(x for x in (cached_s, parallel_s, columnar_s)
+            "bench invariant violated: cached/parallel runs produced "
+            "different block records than the baseline")
+    best_optimized = min(x for x in (cached_s, parallel_s)
                          if x is not None)
     counters = {c: getattr(baseline.build_stats, c)
                 for c in _WORK_COUNTERS}
@@ -372,8 +319,6 @@ def _bench_batch(blocks, machine: MachineModel, repeats: int,
         "cached_s": round(cached_s, 6),
         "parallel_s": (round(parallel_s, 6)
                        if parallel_s is not None else None),
-        "columnar_s": (round(columnar_s, 6)
-                       if columnar_s is not None else None),
         "jobs": jobs,
         "schedules_identical": True,
         "reduction_fraction": round(1.0 - best_optimized / baseline_s, 4)
@@ -385,8 +330,7 @@ def _bench_batch(blocks, machine: MachineModel, repeats: int,
 
 def run_bench(machine: MachineModel, machine_name: str = "generic",
               copies: int = 32, repeats: int = 3, jobs: int = 2,
-              quick: bool = False, columnar: bool = False,
-              tracer: Tracer | None = None,
+              quick: bool = False, tracer: Tracer | None = None,
               metrics: MetricsRegistry | None = None) -> dict:
     """Run the full benchmark and return the JSON-ready document.
 
@@ -398,9 +342,6 @@ def run_bench(machine: MachineModel, machine_name: str = "generic",
         jobs: worker processes for the parallel batch variant
             (``<= 1`` skips it).
         quick: shrink the workload and repeats for CI smoke runs.
-        columnar: add a columnar batch variant to the identity-gated
-            comparison (numpy required).  The fpppp-scale section runs
-            whenever numpy is available, flag or no flag.
         tracer: optional :class:`~repro.obs.trace.Tracer`, attached to
             the batch probe run only (never a timed run).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
@@ -428,8 +369,7 @@ def run_bench(machine: MachineModel, machine_name: str = "generic",
         "heuristics": _bench_heuristics(blocks, machine, repeats),
         "fpppp": _bench_fpppp(machine, repeats, quick),
         "batch": _bench_batch(blocks, machine, repeats, jobs,
-                              tracer=tracer, metrics=metrics,
-                              columnar=columnar),
+                              tracer=tracer, metrics=metrics),
         "timing_note": (
             "counters are exactly reproducible; *_s fields are wall "
             "times (minimum over repeats) and vary with the host"),
@@ -492,15 +432,14 @@ def _flatten_counters(doc: dict) -> dict:
             (batch.get("build_counters") or {}).items()):
         out[f"batch.build_counters.{counter}"] = value
     fpppp = doc.get("fpppp", {})
-    if fpppp.get("available"):
-        for key in ("n_instructions", "target", "arcs", "table_probes",
-                    "alias_checks", "makespan", "schedule_identical",
-                    "predicted_full_n2_comparisons"):
-            out[f"fpppp.{key}"] = fpppp.get(key)
-        for i, point in enumerate(fpppp.get("n2_curve", [])):
-            out[f"fpppp.n2_curve[{i}].n"] = point.get("n")
-            out[f"fpppp.n2_curve[{i}].comparisons"] = \
-                point.get("comparisons")
+    for key in ("n_instructions", "target", "arcs", "table_probes",
+                "alias_checks", "makespan",
+                "predicted_full_n2_comparisons"):
+        out[f"fpppp.{key}"] = fpppp.get(key)
+    for i, point in enumerate(fpppp.get("n2_curve", [])):
+        out[f"fpppp.n2_curve[{i}].n"] = point.get("n")
+        out[f"fpppp.n2_curve[{i}].comparisons"] = \
+            point.get("comparisons")
     return out
 
 
@@ -535,9 +474,8 @@ def compare_bench(old: dict, new: dict,
     Policy: deterministic counters must match *exactly*; wall-clock
     fields pass while ``new <= wall_ratio * old`` (fields below
     :data:`MIN_GATED_WALL_S` on the old side are never gated --
-    nothing real is measurable there).  A field present on only one
-    side is a mismatch, except the ``fpppp.*`` family, which tracks
-    numpy availability (host configuration, not a regression).
+    nothing real is measurable there).  A counter present on only one
+    side is a mismatch.
 
     Args:
         old: the baseline document (the committed trajectory point).
@@ -572,10 +510,6 @@ def compare_bench(old: dict, new: dict,
     new_counters = _flatten_counters(new)
     counter_mismatches = []
     for path in sorted(set(old_counters) | set(new_counters)):
-        if path.startswith("fpppp.") \
-                and (path not in old_counters
-                     or path not in new_counters):
-            continue  # numpy availability differs; host config
         before = old_counters.get(path)
         after = new_counters.get(path)
         if before != after:

@@ -27,7 +27,7 @@ from repro.dag.builders import (
 )
 from repro.dag.builders.base import BuildOutcome, DagBuilder
 from repro.errors import BlockTimeout, ReproError
-from repro.heuristics.passes import backward_pass, backward_pass_levels
+from repro.heuristics.passes import backward_pass
 from repro.machine.model import MachineModel
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -57,8 +57,7 @@ DEFAULT_CHAIN = ("bitmap-backward", "table-forward", "n2")
 
 def resolve_chain(names: Sequence[str],
                   machine: MachineModel,
-                  cache: PairwiseCache | None = None,
-                  columnar: bool = False) -> list[
+                  cache: PairwiseCache | None = None) -> list[
                       tuple[str, Callable[[], DagBuilder]]]:
     """Turn builder names into (name, factory) pairs.
 
@@ -69,29 +68,15 @@ def resolve_chain(names: Sequence[str],
 PairwiseCache`; when set, every builder the chain constructs consults
             it, so a retry after a mid-chain failure replays the
             earlier builder's dependence work instead of redoing it.
-        columnar: substitute the structure-of-arrays fast path
-            (:class:`~repro.dag.columnar.builders.\
-ColumnarTableForwardBuilder`) for ``table-forward`` chain entries.
-            Outcomes are byte-identical either way; chain entry names
-            are preserved so journals and reports read the same.
 
     Raises:
-        ReproError: for an unknown builder name or an empty chain, or
-            when ``columnar`` is requested without numpy installed.
+        ReproError: for an unknown builder name or an empty chain.
     """
     if not names:
         raise ReproError("builder chain is empty")
-    overrides: dict[str, type[DagBuilder]] = {}
-    if columnar:
-        from repro.dag.columnar import require_numpy
-
-        require_numpy()
-        from repro.dag.columnar.builders import ColumnarTableForwardBuilder
-
-        overrides["table-forward"] = ColumnarTableForwardBuilder
     chain = []
     for name in names:
-        cls = overrides.get(name) or BUILDER_CLASSES.get(name)
+        cls = BUILDER_CLASSES.get(name)
         if cls is None:
             raise ReproError(
                 f"unknown builder {name!r} in chain; "
@@ -246,23 +231,22 @@ def schedule_block_resilient(
         chain: Sequence[tuple[str, Callable[[], DagBuilder]]],
         budget: Budget | None = None,
         priority: Callable | None = None,
-        heuristic_driver: str = "reverse_walk",
         verify: bool = False,
         cache: PairwiseCache | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         breaker: object | None = None,
         skip_builders: Sequence[str] = (),
-        on_attempt: Callable[[str], None] | None = None,
-        columnar: bool = False) -> BlockOutcome:
+        on_attempt: Callable[[str], None] | None = None) -> BlockOutcome:
     """Schedule one block, falling back through the builder chain.
 
     Each chain entry gets a full attempt -- construction (under the
-    work budget), intermediate heuristic pass, forward scheduling, and
-    optional independent verification -- wrapped in the wall-clock
-    watchdog.  The first attempt that survives is accepted; if none
-    does, the block degrades to its original order (always correct,
-    never faster) with every failure recorded.
+    work budget), the intermediate heuristic pass
+    (:func:`~repro.heuristics.passes.backward_pass`), forward
+    scheduling, and optional independent verification -- wrapped in
+    the wall-clock watchdog.  The first attempt that survives is
+    accepted; if none does, the block degrades to its original order
+    (always correct, never faster) with every failure recorded.
 
     Args:
         block: the basic block (non-empty).
@@ -271,7 +255,6 @@ def schedule_block_resilient(
             may inject arbitrary factories (e.g. a sleeping builder).
         budget: per-attempt watchdog limits (None = unlimited).
         priority: scheduling priority (default: section 6 winnowing).
-        heuristic_driver: "reverse_walk" or "levels".
         verify: independently verify the accepted schedule with
             :func:`repro.verify.checker.verify_schedule`.
         cache: optional pairwise-dependence cache shared across
@@ -303,10 +286,6 @@ def schedule_block_resilient(
             chain entry's name just before the attempt starts.  The
             supervised pool uses it to attribute a worker crash to the
             builder that was live when the process died.
-        columnar: run the intermediate heuristic pass through the
-            vectorized driver (:func:`~repro.dag.columnar.passes.\
-columnar_backward_pass`).  Annotation-identical to both object
-            drivers, so the accepted schedules are byte-identical.
 
     Returns:
         The accepted or degraded :class:`BlockOutcome`.
@@ -314,16 +293,6 @@ columnar_backward_pass`).  Annotation-identical to both object
     if priority is None:
         priority = SECTION6_PRIORITY
     tracer = tracer or NULL_TRACER
-    if columnar:
-        from repro.dag.columnar import require_numpy
-
-        require_numpy()
-        from repro.dag.columnar.passes import columnar_backward_pass
-
-        driver = columnar_backward_pass
-    else:
-        driver = (backward_pass_levels if heuristic_driver == "levels"
-                  else backward_pass)
     label = block.label if block.label else str(block.index)
     attempts: list[Attempt] = []
     t_start = time.perf_counter()
@@ -344,9 +313,8 @@ columnar_backward_pass`).  Annotation-identical to both object
                         "cache-hit" if builder_cache.hits > hits_before
                         else "cache-miss", builder=name)
                 stage = "heuristics"
-                with atracer.span("heuristics",
-                                  driver=heuristic_driver):
-                    driver(outcome.dag, require_est=False)
+                with atracer.span("heuristics"):
+                    backward_pass(outcome.dag, require_est=False)
                 stage = "schedule"
                 with atracer.span("schedule"):
                     sched = schedule_forward(outcome.dag, machine,

@@ -1,11 +1,11 @@
 """Crash-isolated supervised worker pool for block-parallel runs.
 
-The PR 3 ``--jobs N`` path handed blocks to a bare
-``ProcessPoolExecutor``: one segfaulting, OOM-killed, or
-``os._exit``-ing worker raised ``BrokenProcessPool`` on every pending
-future and aborted the whole batch, losing all in-flight work and
-bypassing the fallback/degradation machinery entirely.  This module
-treats worker death as a recoverable, observable event instead:
+On a bare ``ProcessPoolExecutor`` one segfaulting, OOM-killed, or
+``os._exit``-ing worker raises ``BrokenProcessPool`` on every pending
+future and aborts the whole batch, losing all in-flight work and
+bypassing the fallback/degradation machinery entirely.  This module,
+the only pool ``--jobs N`` runs on, treats worker death as a
+recoverable, observable event instead:
 
 * **crash isolation** -- each worker is its own
   :class:`multiprocessing.Process` speaking a small message protocol
@@ -31,8 +31,8 @@ treats worker death as a recoverable, observable event instead:
   half-open probe succeeds.
 
 Healthy blocks are unaffected: their outcomes are computed by the same
-worker-side code as before and consumed in program order, so journal
-lines, callbacks, and aggregates stay byte-identical to a serial run.
+per-block code as a serial run and consumed in program order, so
+journal lines, callbacks, and aggregates stay byte-identical to it.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ from repro.verify.checker import degraded_timing
 # chain factories are closures, which is why ``jobs > 1`` refuses
 # them.  Workers ship back ``(record, counters, block_stats, obs)`` --
 # everything JSON/dataclass-flat -- and the parent reassembles
-# outcomes (and the merged trace/metrics) in program order.  These two
-# functions also serve the legacy (unsupervised) pool in
-# :mod:`repro.runner.batch`.
+# outcomes (and the merged trace/metrics) in program order.
 
 _WORKER_STATE: dict = {}
 
@@ -106,25 +104,20 @@ def _apply_mem_ceiling(mem_limit_mb: int | None) -> None:
 
 
 def _init_worker(machine: MachineModel, chain_names: tuple[str, ...],
-                 budget: Budget | None, heuristic_driver: str,
-                 verify: bool, use_cache: bool,
+                 budget: Budget | None, verify: bool, use_cache: bool,
                  trace: bool = False, metrics: bool = False,
-                 mem_limit_mb: int | None = None,
-                 columnar: bool = False) -> None:
+                 mem_limit_mb: int | None = None) -> None:
     """Per-process setup: resolve the chain once, not per block."""
     _apply_mem_ceiling(mem_limit_mb)
     cache = PairwiseCache() if use_cache else None
     _WORKER_STATE["machine"] = machine
     _WORKER_STATE["chain"] = resolve_chain(chain_names, machine,
-                                           cache=cache,
-                                           columnar=columnar)
+                                           cache=cache)
     _WORKER_STATE["budget"] = budget
-    _WORKER_STATE["driver"] = heuristic_driver
     _WORKER_STATE["verify"] = verify
     _WORKER_STATE["cache"] = cache
     _WORKER_STATE["trace"] = trace
     _WORKER_STATE["metrics"] = metrics
-    _WORKER_STATE["columnar"] = columnar
 
 
 def _run_block(block: BasicBlock,
@@ -151,11 +144,9 @@ def _run_block(block: BasicBlock,
     outcome = schedule_block_resilient(
         block, _WORKER_STATE["machine"], _WORKER_STATE["chain"],
         budget=_WORKER_STATE["budget"],
-        heuristic_driver=_WORKER_STATE["driver"],
         verify=_WORKER_STATE["verify"], cache=cache,
         tracer=tracer, metrics=registry,
-        skip_builders=skip_builders, on_attempt=on_attempt,
-        columnar=_WORKER_STATE.get("columnar", False))
+        skip_builders=skip_builders, on_attempt=on_attempt)
     if registry is not None and cache is not None:
         record_cache(registry, cache.hits - hits0,
                      cache.misses - misses0)
@@ -494,9 +485,8 @@ class SupervisedPool:
             quarantine verdict's degraded makespan).
         chain_names: builder chain for the workers.
         budget: per-attempt watchdog limits, forwarded to workers.
-        heuristic_driver / verify / use_cache / trace / metrics_on:
-            worker configuration, exactly as the legacy pool forwarded
-            it.
+        verify / use_cache / trace / metrics_on: worker
+            configuration.
         jobs: worker process count (capped at ``len(blocks)``).
         retry: crash retry/backoff policy (default
             :class:`RetryPolicy`).
@@ -506,7 +496,7 @@ class SupervisedPool:
             (:class:`repro.runner.chaos.ChaosConfig`).
         task_timeout: seconds of silence after dispatch before a
             worker is presumed hung and SIGKILLed (None = wait
-            forever, like the legacy pool).
+            forever).
         quarantine_dir: directory for reproducer ``.s`` files (None =
             quarantine without writing a file).
         breaker: optional parent-side :class:`CircuitBreaker`.
@@ -519,16 +509,12 @@ class SupervisedPool:
             allocation exceeds it fails with a ``MemoryError``
             attributed to its block and builder (crash kind
             ``"oom"``), instead of an anonymous kernel SIGKILL.
-        columnar: forward the structure-of-arrays fast-path flag to
-            the workers (byte-identical outcomes; see
-            :func:`~repro.runner.batch.run_batch`).
     """
 
     def __init__(self, blocks: Sequence[BasicBlock],
                  machine: MachineModel,
                  chain_names: tuple[str, ...],
                  budget: Budget | None,
-                 heuristic_driver: str,
                  verify: bool,
                  use_cache: bool,
                  trace: bool,
@@ -541,13 +527,11 @@ class SupervisedPool:
                  breaker: CircuitBreaker | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
-                 mem_limit_mb: int | None = None,
-                 columnar: bool = False) -> None:
+                 mem_limit_mb: int | None = None) -> None:
         self._machine = machine
         self._chain_names = chain_names
-        self._init_args = (machine, chain_names, budget,
-                           heuristic_driver, verify, use_cache,
-                           trace, metrics_on, mem_limit_mb, columnar)
+        self._init_args = (machine, chain_names, budget, verify,
+                           use_cache, trace, metrics_on, mem_limit_mb)
         self._retry = retry or RetryPolicy()
         self._chaos = chaos
         self._task_timeout = task_timeout

@@ -208,7 +208,6 @@ def run_request(request: ScheduleRequest,
                 quarantine_dir: str | None = None,
                 mem_limit_mb: int | None = None,
                 completed: dict[int, dict] | None = None,
-                columnar: bool = False,
                 tracer: Tracer | None = None) -> dict:
     """Schedule one admitted request's blocks, streaming as they land.
 
@@ -253,9 +252,6 @@ def run_request(request: ScheduleRequest,
             counted in the summary's ``replayed``.  A non-empty map
             forces the serial path so replay interleaves with fresh
             work in program order.
-        columnar: serve on the structure-of-arrays fast path (numpy
-            required; byte-identical frames and summaries -- a
-            performance knob, like the warm caches).
         tracer: optional tracer; the request runs inside one
             ``request`` span carrying the wire ``id`` and client
             ``trace`` id, with the builder/attempt spans nested under
@@ -268,7 +264,7 @@ def run_request(request: ScheduleRequest,
     names = request.chain or chain_names or DEFAULT_CHAIN
     if cache is None:
         cache = warm_cache(request.machine)
-    chain = resolve_chain(names, machine, cache=cache, columnar=columnar)
+    chain = resolve_chain(names, machine, cache=cache)
     tracer = tracer if tracer is not None else NULL_TRACER
     t0 = clock()
     deadline = (t0 + request.deadline_s
@@ -354,8 +350,7 @@ def run_request(request: ScheduleRequest,
                           chaos=chaos, retry=retry,
                           task_timeout=task_timeout,
                           quarantine_dir=quarantine_dir,
-                          mem_limit_mb=mem_limit_mb,
-                          columnar=columnar)
+                          mem_limit_mb=mem_limit_mb)
             except RequestCancelled as exc:
                 if n_done < len(blocks):
                     shed_rest(exc.reason)
@@ -393,8 +388,7 @@ def run_request(request: ScheduleRequest,
                     block, machine, chain,
                     budget=Budget(wall_clock=wall, max_work=max_work),
                     verify=request.verify, cache=cache,
-                    metrics=metrics, breaker=breaker, tracer=tracer,
-                    columnar=columnar)
+                    metrics=metrics, breaker=breaker, tracer=tracer)
                 account(outcome)
         span_attrs["scheduled"] = n_scheduled
         span_attrs["shed"] = sum(shed_reasons.values())

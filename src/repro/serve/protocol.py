@@ -12,8 +12,7 @@ Client -> server operations (``op``):
 
 * ``schedule`` -- schedule a program; see :class:`ScheduleRequest`.
 * ``health`` -- liveness + pool/breaker/cache state (always answers),
-  including the engine's columnar flag and per-thread warm-cache
-  detail.
+  including per-thread warm-cache detail.
 * ``ready`` -- readiness: would a schedule request be admitted now?
 * ``stats`` -- the server's global block/request accounting (used by
   the chaos harness to prove zero lost / double-scheduled blocks).

@@ -168,9 +168,6 @@ class ServeConfig:
             always written on drain.
         dedup_entries: LRU cap on the in-memory finished-key result
             store (the exactly-once answer index).
-        columnar: serve every request on the structure-of-arrays fast
-            path (numpy required; byte-identical frames and
-            summaries).
         telemetry: optional loopback HTTP listen address for the
             Prometheus exposition endpoint (``GET /metrics``); same
             accepted forms as ``address`` minus unix sockets.  When
@@ -207,7 +204,6 @@ class ServeConfig:
     wal_dir: str | None = None
     snapshot_every: int = 8
     dedup_entries: int = 1024
-    columnar: bool = False
     telemetry: str | None = None
     overload: OverloadConfig | None = field(
         default_factory=OverloadConfig)
@@ -528,7 +524,6 @@ class ReproServer:
             "draining": snapshot["draining"],
             "occupancy": snapshot["occupancy"],
             "workers": self.config.workers,
-            "columnar": self.config.columnar,
             "cache": cache_stats(),
             "cache_threads": cache_details(),
             "wal": {
@@ -669,7 +664,6 @@ class ReproServer:
                 quarantine_dir=cfg.quarantine_dir,
                 mem_limit_mb=cfg.mem_limit_mb,
                 completed=completed,
-                columnar=cfg.columnar,
                 tracer=private)
         finally:
             if private is not None and private.entries:

@@ -87,8 +87,7 @@ def render_top(frames: dict, address: str = "") -> str:
         f"uptime {health.get('uptime_s', 0):.0f}s   "
         f"{'DRAINING' if health.get('draining') else 'serving'}   "
         f"workers {health.get('workers', '?')}   "
-        f"occupancy {health.get('occupancy', '?')}   "
-        f"columnar {'on' if health.get('columnar') else 'off'}",
+        f"occupancy {health.get('occupancy', '?')}",
         _rate_line(metrics.get("window", {})),
         f"totals: {server.get('requests_admitted', 0)} admitted, "
         f"{server.get('requests_completed', 0)} ok, "

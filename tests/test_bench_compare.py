@@ -25,7 +25,7 @@ from repro.runner.bench import (
 
 def sample_doc(**overrides):
     doc = {
-        "version": 3,
+        "version": 4,
         "machine": "sparc",
         "quick": True,
         "workload": {"kernels": ["daxpy"], "copies": 2,
@@ -102,13 +102,14 @@ class TestPolicy:
         with pytest.raises(ReproError, match="quick"):
             compare_bench(sample_doc(), sample_doc(quick=False))
 
-    def test_one_sided_fpppp_skipped(self):
-        # fpppp timings only exist on hosts that ran the full bench;
-        # a missing section is host config, not a regression.
-        old = sample_doc(fpppp={"n_blocks": 3, "build_s": 0.4,
-                                "comparisons": 999})
+    def test_one_sided_fpppp_is_a_mismatch(self):
+        # The fpppp section runs on every host, so a document missing
+        # it lost counters: that is a regression, not host config.
+        old = sample_doc(fpppp={"arcs": 999, "object_build_s": 0.4})
         result = compare_bench(old, sample_doc())
-        assert result["ok"] is True
+        assert result["ok"] is False
+        assert {"field": "fpppp.arcs", "old": 999, "new": None} \
+            in result["counter_mismatches"]
 
     def test_render_compare_mentions_verdict(self):
         ok = compare_bench(sample_doc(), sample_doc())
@@ -165,7 +166,7 @@ class TestCLI:
         assert main(["bench", "--compare", *paths]) == 2
 
     def test_default_out_is_versioned(self):
-        assert DEFAULT_BENCH_PATH == "BENCH_v3.json"
+        assert DEFAULT_BENCH_PATH == "BENCH_v4.json"
 
     def test_run_write_then_self_compare(self, tmp_path):
         # The acceptance loop: a quick run gates cleanly against its

@@ -6,6 +6,7 @@ from repro.dag.bitmap import (
     ReachabilityMap,
     ancestor_maps,
     compute_reachability,
+    weight_planes,
 )
 from repro.dag.graph import Dag
 
@@ -108,16 +109,30 @@ class TestReachabilityMap:
         assert edge.words_touched - before == 2
 
     def test_weighted_descendant_sum(self):
-        rmap = ReachabilityMap(130)
+        rmap = ReachabilityMap(200)
         rmap.absorb(0, 2)
         rmap.absorb(0, 129)
-        weights = list(range(130))
-        assert rmap.weighted_descendant_sum(0, weights) == 2 + 129
-        assert rmap.weighted_descendant_sum(1, weights) == 0
-        # Matches the per-bit enumeration it replaced.
-        for a in (0, 1, 2, 129):
-            assert rmap.weighted_descendant_sum(a, weights) == \
-                sum(weights[d] for d in rmap.descendants(a))
+        weights = list(range(200))
+        assert rmap.weighted_descendant_sum(0, weight_planes(weights)) \
+            == 2 + 129
+        assert rmap.weighted_descendant_sum(1, weight_planes(weights)) \
+            == 0
+        # A chain 130 -> ... -> 199 hung under node 3, so maps reach
+        # past bit 128.
+        for i in reversed(range(130, 199)):
+            rmap.absorb(i, i + 1)
+        rmap.absorb(3, 130)
+        rmap.absorb(0, 3)
+        # Matches the per-bit enumeration on distinct, repeated, zero
+        # and wide (1 << 10) weights.
+        for weights in (list(range(200)), [7] * 200, [0] * 200,
+                        [1 << 10] * 200,
+                        [(i % 3) << 10 if i % 5 else 0
+                         for i in range(200)]):
+            planes = weight_planes(weights)
+            for a in (0, 1, 2, 3, 129, 130, 150, 199):
+                assert rmap.weighted_descendant_sum(a, planes) == \
+                    sum(weights[d] for d in rmap.descendants(a))
 
 
 class TestComputeReachability:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import ALGORITHMS, BUILDERS, MACHINES, main
@@ -308,3 +312,19 @@ class TestLenientFlag:
             status, text = run_cli([command, messy_file, "--lenient"])
             assert status == 0
             assert "! skipped line 2:" in text
+
+
+class TestStartup:
+    def test_cli_and_daemon_import_no_numpy(self):
+        # The CLI and the daemon run on the standard library alone:
+        # loading them and building a machine model pulls in no numpy.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = ("import sys, repro.cli, repro.serve.server; "
+                "repro.cli.MACHINES['sparc'](); "
+                "print('numpy' in sys.modules)")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True,
+            text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.strip() == "False"

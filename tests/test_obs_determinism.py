@@ -65,23 +65,6 @@ class TestJobsDeterminism:
         traced, _, _ = traced_run(blocks, machine, jobs=4)
         assert records(plain) == records(traced)
 
-    def test_stable_metrics_identical_jobs_1_vs_4_columnar(
-            self, machine, blocks):
-        # Same stability contract on the columnar fast path: the SoA
-        # builders feed the same counters, so a 4-way columnar run's
-        # stable section must be byte-identical to a serial one's.
-        pytest.importorskip("numpy")
-
-        def columnar_run(jobs):
-            metrics = MetricsRegistry()
-            run_batch(blocks, machine, verify=True, jobs=jobs,
-                      metrics=metrics, columnar=True)
-            return metrics.snapshot()
-
-        one, four = columnar_run(1), columnar_run(4)
-        assert json.dumps(one["stable"], sort_keys=True) \
-            == json.dumps(four["stable"], sort_keys=True)
-
     def test_wall_seconds_confined_to_volatile(self, machine, blocks):
         _, _, metrics = traced_run(blocks, machine, jobs=1)
         snap = metrics.snapshot()

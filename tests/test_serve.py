@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ProtocolError, ReproError, RequestRejected
 from repro.machine.presets import generic_risc
 from repro.obs.metrics import MetricsRegistry
+from repro.runner import run_batch
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.engine import request_blocks, run_request
@@ -22,6 +23,7 @@ from repro.serve.loadtest import (
 )
 from repro.serve.protocol import ScheduleRequest, parse_address
 from repro.serve.server import BackgroundServer, ServeConfig
+from repro.workloads import kernel_source
 
 
 class FakeClock:
@@ -355,6 +357,44 @@ def server(tmp_path):
     yield background
     if background._thread.is_alive():
         background.drain()
+
+
+class TestDaemonMatchesBatch:
+    """The daemon's per-block loop and the batch runner agree."""
+
+    REQUESTS = (
+        {"op": "schedule", "id": "w1",
+         "workload": {"kernel": "livermore1", "copies": 3}},
+        {"op": "schedule", "id": "a1", "trace": "t-a1",
+         "asm": kernel_source("daxpy")},
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_block_records_match_run_batch(self, tmp_path, jobs):
+        # No overload ladder: its brownout chain changes outcomes.
+        config = ServeConfig(address=f"unix:{tmp_path}/serve.sock",
+                             jobs=jobs, overload=None)
+        background = BackgroundServer(config).start()
+        client = _Client(background.address)
+        try:
+            for message in self.REQUESTS:
+                client.send(message)
+                assert client.recv()["type"] == "accepted"
+                frames = client.stream_until_terminal(message["id"])
+                assert frames[-1]["type"] == "done"
+                served = []
+                for frame in frames[:-1]:
+                    record = dict(frame["block"])
+                    del record["wall_s"]
+                    record.pop("trace", None)
+                    served.append(record)
+                request = ScheduleRequest.from_message(message)
+                batch = run_batch(request_blocks(request),
+                                  generic_risc())
+                assert served == [o.to_record() for o in batch.outcomes]
+        finally:
+            client.close()
+            background.drain()
 
 
 class TestServer:

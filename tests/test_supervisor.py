@@ -215,22 +215,6 @@ class TestSupervisedCrashRecovery:
         assert records(resumed) == records(first)
         assert resumed.outcomes[0].quarantined
 
-    def test_unsupervised_pool_reports_typed_error_on_worker_death(
-            self, machine, monkeypatch):
-        if sys.platform != "linux":
-            pytest.skip("fork start method required")
-        import repro.runner.batch as batch_mod
-        import repro.runner.supervisor as supervisor_mod
-        monkeypatch.setattr(batch_mod, "_run_block", _exit_hard)
-        monkeypatch.setattr(supervisor_mod, "_run_block", _exit_hard)
-        blocks = bench_blocks(1)
-        with pytest.raises(ReproError, match="worker process died"):
-            run_batch(blocks, machine, jobs=2, supervise=False)
-
-
-def _exit_hard(block, skip_builders=(), on_attempt=None):
-    os._exit(3)
-
 
 class TestGracefulInterrupt:
     def _interrupt_run(self, tmp_path, sig):
