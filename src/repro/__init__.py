@@ -92,7 +92,7 @@ from repro.scheduling import (
 from repro.scheduling.algorithms import ALL_ALGORITHMS
 from repro.scheduling.delay_slots import fill_delay_slot
 from repro.scheduling.interblock import apply_inherited, residual_latencies
-from repro.pipeline import run_pipeline, SECTION6_PRIORITY
+from repro.pipeline import SECTION6_PRIORITY
 from repro.transform import schedule_program, TransformReport
 from repro.verify import (
     BlockFailure,
@@ -163,7 +163,6 @@ __all__ = [
     "fill_delay_slot",
     "apply_inherited",
     "residual_latencies",
-    "run_pipeline",
     "SECTION6_PRIORITY",
     "schedule_program",
     "TransformReport",

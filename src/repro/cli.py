@@ -69,22 +69,10 @@ from repro.cfg import (
     partition_blocks,
     pin_delay_slot_occupants,
 )
-from repro.dag.builders import (
-    BitmapBackwardBuilder,
-    CompareAllBuilder,
-    LandskovBuilder,
-    PairwiseCache,
-    TableBackwardBuilder,
-    TableForwardBuilder,
-)
+from repro.dag.builders import PairwiseCache, TableForwardBuilder
 from repro.errors import BatchInterrupted, ReproError
 from repro.heuristics.passes import backward_pass
-from repro.machine import (
-    generic_risc,
-    rs6000_like,
-    sparcstation2_like,
-    superscalar2,
-)
+from repro.machine import MACHINES
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -96,8 +84,9 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.metrics import record_cache
-from repro.pipeline import SECTION6_PRIORITY
+from repro.pipeline import SECTION6_PRIORITY, schedule_attempt
 from repro.runner import (
+    BUILDER_CLASSES,
     DEFAULT_CHAIN,
     Budget,
     ChaosConfig,
@@ -117,23 +106,7 @@ from repro.scheduling.algorithms import (
     Warren,
 )
 from repro.scheduling.list_scheduler import schedule_forward
-from repro.scheduling.timing import simulate
 from repro.verify import verify_schedule
-
-MACHINES = {
-    "generic": generic_risc,
-    "sparc": sparcstation2_like,
-    "rs6000": rs6000_like,
-    "superscalar2": superscalar2,
-}
-
-BUILDERS = {
-    "n2": CompareAllBuilder,
-    "landskov": LandskovBuilder,
-    "table-forward": TableForwardBuilder,
-    "table-backward": TableBackwardBuilder,
-    "bitmap-backward": BitmapBackwardBuilder,
-}
 
 ALGORITHMS = {
     "gibbons-muchnick": GibbonsMuchnick,
@@ -635,7 +608,7 @@ def _cmd_dag(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     for block in partition_blocks(program):
         if not block.size:
             continue
-        outcome = BUILDERS[args.builder](machine).build(block)
+        outcome = BUILDER_CLASSES[args.builder](machine).build(block)
         if args.dot:
             from repro.dag.export import to_dot
             out(to_dot(outcome.dag, name=f"block{block.index}",
@@ -664,7 +637,7 @@ def _cmd_verify(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     blocks = pin_delay_slot_occupants(
         apply_window(partition_blocks(program), args.window))
     builder_names = ([args.builder] if args.builder
-                     else sorted(BUILDERS))
+                     else sorted(BUILDER_CLASSES))
     # One shared dependence cache across builders x blocks: each
     # builder still records its own arc recipe, but the pairwise
     # preparation and the verifier's reference builds are reused.
@@ -675,7 +648,7 @@ def _cmd_verify(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         if not block.size:
             continue
         for name in builder_names:
-            outcome = BUILDERS[name](machine, cache=cache).build(block)
+            outcome = BUILDER_CLASSES[name](machine, cache=cache).build(block)
             backward_pass(outcome.dag, require_est=False)
             result = schedule_forward(outcome.dag, machine,
                                       SECTION6_PRIORITY)
@@ -815,12 +788,10 @@ def _cmd_minic(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     for block in partition_blocks(program):
         if not block.size:
             continue
-        outcome = TableForwardBuilder(machine).build(block)
-        backward_pass(outcome.dag, require_est=False)
-        result = schedule_forward(outcome.dag, machine, SECTION6_PRIORITY)
-        original = simulate(list(outcome.dag.real_nodes()),
-                            machine).makespan
-        out(f"! block {block.index}: {original} -> "
+        _, _, result, original = schedule_attempt(
+            block, machine, lambda: TableForwardBuilder(machine),
+            "table-forward")
+        out(f"! block {block.index}: {original.makespan} -> "
             f"{result.makespan} cycles")
         for node in result.order:
             out(f"\t{node.instr.render()}")
@@ -917,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dag = sub.add_parser("dag", parents=[common],
                          help="dump dependence DAGs")
-    dag.add_argument("--builder", choices=sorted(BUILDERS),
+    dag.add_argument("--builder", choices=sorted(BUILDER_CLASSES),
                      default="table-forward")
     dag.add_argument("--dot", action="store_true",
                      help="emit Graphviz DOT (transitive arcs in red)")
@@ -931,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="verify every builder's schedules "
                                  "against independently re-derived "
                                  "dependences")
-    verify.add_argument("--builder", choices=sorted(BUILDERS),
+    verify.add_argument("--builder", choices=sorted(BUILDER_CLASSES),
                         default=None,
                         help="check one builder only (default: all)")
     verify.add_argument("--no-semantics", action="store_true",

@@ -24,6 +24,11 @@ from repro.isa.memory import AliasPolicy, may_alias
 from repro.isa.resources import Resource, ResourceKind, ResourceSpace
 from repro.machine.model import MachineModel
 
+#: counter fields that make up a build's work units (the currency of
+#: the runner's work budget)
+WORK_FIELDS = ("comparisons", "table_probes", "alias_checks",
+               "bitmap_ops")
+
 
 @dataclass
 class BuildStats:
@@ -46,6 +51,12 @@ class BuildStats:
     arcs_merged: int = 0
     arcs_suppressed: int = 0
     bitmap_ops: int = 0
+
+    @property
+    def work(self) -> int:
+        """Work units: the summed :data:`WORK_FIELDS` counters."""
+        return (self.comparisons + self.table_probes + self.alias_checks
+                + self.bitmap_ops)
 
     def merge(self, other: "BuildStats") -> None:
         """Accumulate another build's counters into this one."""
@@ -201,6 +212,11 @@ class DagBuilder(abc.ABC):
         #: the active cache entry during a cached build (consulted by
         #: the pairwise-sharing builders), None otherwise
         self.cache_entry = None
+        #: reachability-map words the last build touched (0 for
+        #: builders without a bitmap); a cache replay reports the
+        #: recorded fresh build's count, so the figure does not depend
+        #: on whether the cache was on
+        self.words_touched = 0
 
     @property
     def cache_key(self) -> str:
@@ -233,6 +249,7 @@ class DagBuilder(abc.ABC):
             if recipe is not None:
                 self.cache.hits += 1
                 recipe.replay(dag, stats)
+                self.words_touched = recipe.words_touched
                 stats.arcs_added = dag.n_arcs
                 stats.arcs_merged = dag.n_merged_arcs
                 return BuildOutcome(dag=dag, stats=stats,
@@ -250,6 +267,7 @@ class DagBuilder(abc.ABC):
             space = ResourceSpace()
         oracle = AliasOracle(self.alias_policy, stats, verdicts=verdicts)
         self.cache_entry = entry
+        self.words_touched = 0
         try:
             before = (stats.comparisons, stats.table_probes,
                       stats.alias_checks, stats.arcs_suppressed,
@@ -270,7 +288,7 @@ class DagBuilder(abc.ABC):
                 arcs_suppressed=stats.arcs_suppressed - before[3],
                 bitmap_ops=stats.bitmap_ops - before[4])
             entry.recipes[self.cache_key] = ArcRecipe.snapshot(
-                dag, delta, space)
+                dag, delta, space, self.words_touched)
         return BuildOutcome(dag=dag, stats=stats, space=space)
 
     @abc.abstractmethod

@@ -86,3 +86,4 @@ class BitmapBackwardBuilder(TableBackwardBuilder):
 
         self._sweep(dag, space, oracle, stats, emit,
                     uses_first=self.uses_first)
+        self.words_touched = rmap.words_touched

@@ -108,20 +108,24 @@ class ArcRecipe:
         n_merged_arcs: duplicate-arc merges the fresh build performed.
         space: the resource space of the recorded build (returned on
             replay so downstream consumers see consistent ids).
+        words_touched: reachability-map words the recorded build
+            touched (reported by the replaying builder).
     """
 
     arcs: tuple[ArcSpec, ...]
     stats: BuildStats
     n_merged_arcs: int
     space: ResourceSpace
+    words_touched: int
 
     @staticmethod
-    def snapshot(dag: Dag, stats_delta: BuildStats,
-                 space: ResourceSpace) -> "ArcRecipe":
+    def snapshot(dag: Dag, stats_delta: BuildStats, space: ResourceSpace,
+                 words_touched: int) -> "ArcRecipe":
         """Record a completed construction."""
         arcs = tuple((arc.parent.id, arc.child.id, arc.dep, arc.delay,
                       arc.resource) for arc in dag.arcs())
-        return ArcRecipe(arcs, stats_delta, dag.n_merged_arcs, space)
+        return ArcRecipe(arcs, stats_delta, dag.n_merged_arcs, space,
+                         words_touched)
 
     def replay(self, dag: Dag, stats: BuildStats) -> None:
         """Re-create the recorded arcs and charge the recorded work.

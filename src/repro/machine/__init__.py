@@ -14,7 +14,7 @@ subpackage says *how long it takes* on a particular machine:
   DAG builders and schedulers consume.
 * :mod:`repro.machine.presets` -- ready-made machines (generic RISC,
   SPARC-like, RS/6000-like with asymmetric bypass, 2-wide
-  superscalar).
+  superscalar) and :data:`MACHINES`, their table by preset name.
 """
 
 from repro.machine.latency import LatencyModel
@@ -27,6 +27,7 @@ from repro.machine.units import (
 from repro.machine.reservation import ReservationTable, UsagePattern
 from repro.machine.model import MachineModel
 from repro.machine.presets import (
+    MACHINES,
     generic_risc,
     sparcstation2_like,
     rs6000_like,
@@ -42,6 +43,7 @@ __all__ = [
     "ReservationTable",
     "UsagePattern",
     "MachineModel",
+    "MACHINES",
     "generic_risc",
     "sparcstation2_like",
     "rs6000_like",

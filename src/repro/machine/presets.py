@@ -116,3 +116,13 @@ def superscalar2() -> MachineModel:
         issue_width=2,
         branch_delay_slots=1,
     )
+
+
+#: preset name -> factory: the names the CLI, the daemon and the
+#: profiler accept
+MACHINES = {
+    "generic": generic_risc,
+    "sparc": sparcstation2_like,
+    "rs6000": rs6000_like,
+    "superscalar2": superscalar2,
+}

@@ -28,7 +28,7 @@ package is the common surface those quantities flow through:
 Instrumented layers (``repro schedule``/``verify``/``bench``,
 :func:`repro.runner.batch.run_batch`,
 :func:`repro.runner.fallback.schedule_block_resilient`,
-:func:`repro.pipeline.run_pipeline`,
+:func:`repro.pipeline.schedule_attempt`,
 :func:`repro.verify.checker.verify_schedule`) accept ``tracer=`` and
 ``metrics=`` keywords; both default to off and never change schedules,
 journals, or stdout.

@@ -42,22 +42,15 @@ BUILD_COUNTERS = ("comparisons", "table_probes", "alias_checks",
                   "arcs_added", "arcs_merged", "arcs_suppressed",
                   "bitmap_ops")
 
-_MACHINE_FACTORIES = {
-    "generic": "generic_risc",
-    "sparc": "sparcstation2_like",
-    "rs6000": "rs6000_like",
-    "superscalar2": "superscalar2",
-}
-
 
 def _machine(name: str):
     from repro.errors import ReproError
-    from repro.machine import presets
+    from repro.machine import MACHINES
     try:
-        factory = _MACHINE_FACTORIES[name]
+        factory = MACHINES[name]
     except KeyError:
         raise ReproError(f"unknown machine preset: {name!r}") from None
-    return getattr(presets, factory)()
+    return factory()
 
 
 @dataclass
@@ -178,10 +171,8 @@ def profile_block(kernel: str, block, machine,
     exactly the reverse-walk driver's visit count); the schedule phase
     counts instructions issued.
     """
-    from repro.heuristics.passes import backward_pass
-    from repro.pipeline import SECTION6_PRIORITY
+    from repro.pipeline import schedule_attempt
     from repro.runner.fallback import BUILDER_CLASSES
-    from repro.scheduling.list_scheduler import schedule_forward
 
     names = sorted(builders) if builders else sorted(BUILDER_CLASSES)
     leaves: dict[tuple, int] = {}
@@ -191,20 +182,16 @@ def profile_block(kernel: str, block, machine,
             leaves[stack] = leaves.get(stack, 0) + units
 
     for name in names:
-        builder = BUILDER_CLASSES[name](machine)
-        outcome = builder.build(block)
+        builder, outcome, sched, _ = schedule_attempt(
+            block, machine, lambda cls=BUILDER_CLASSES[name]: cls(machine),
+            name)
         for counter in BUILD_COUNTERS:
             add((kernel, name, "build", counter),
                 getattr(outcome.stats, counter))
-        rmap = getattr(builder, "reachability", None)
-        if rmap is not None:
-            add((kernel, name, "build", "words_touched"),
-                rmap.words_touched)
-        backward_pass(outcome.dag, require_est=False)
+        add((kernel, name, "build", "words_touched"),
+            builder.words_touched)
         add((kernel, name, "heuristics", "node_visits"),
             len(outcome.dag.nodes))
-        sched = schedule_forward(outcome.dag, machine,
-                                 SECTION6_PRIORITY)
         add((kernel, name, "schedule", "instructions_issued"),
             len(sched.order))
     return leaves

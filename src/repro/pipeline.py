@@ -1,40 +1,34 @@
-"""End-to-end scheduling pipeline: the paper's section 6 experiment.
+"""The section 6 per-block attempt: build, heuristic pass, schedule.
 
 The section 6 comparison pairs each DAG construction algorithm "with a
 simple forward scheduling pass", using three backward static
 heuristics: *max path to leaf*, *max delay to leaf*, and *max delay to
 child*.  Each approach makes two passes over the instructions (DAG
 construction + intermediate heuristic pass) and then one scheduling
-pass over the DAG -- :func:`run_pipeline` reproduces exactly that
-structure per basic block, accumulating the structural statistics of
-Tables 4 and 5 and the construction work counters.
+pass over the DAG.  :func:`schedule_attempt` is that sequence for one
+block, written once; the resilient runner
+(:func:`repro.runner.fallback.schedule_block_resilient`) wraps it in
+the watchdog and the builder fallback chain, and
+:func:`repro.runner.batch.run_batch` aggregates the Tables 4 and 5
+statistics over a whole benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Type
+from typing import Callable
 
 from repro.cfg.basic_block import BasicBlock
-from repro.dag.builders.base import BuildStats, DagBuilder
-from repro.dag.stats import ProgramDagStats
+from repro.dag.builders.base import BuildOutcome, BuildStats, DagBuilder
+from repro.dag.builders.cache import PairwiseCache
 from repro.errors import ReproError
-from repro.heuristics.passes import backward_pass, backward_pass_levels
+from repro.heuristics.passes import backward_pass
 from repro.machine.model import MachineModel
-from repro.obs.metrics import (
-    MetricsRegistry,
-    record_block_structure,
-    record_build,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.scheduling.list_scheduler import schedule_forward
+from repro.scheduling.list_scheduler import ScheduleResult, schedule_forward
 from repro.scheduling.priority import winnowing
-from repro.scheduling.timing import simulate, verify_order
-from repro.verify.checker import (
-    BlockFailure,
-    degraded_timing,
-    verify_schedule,
-)
+from repro.scheduling.timing import ScheduleTiming, simulate, verify_order
+from repro.verify.checker import verify_schedule
 
 #: The section 6 priority: max path to leaf, then max delay to leaf,
 #: then max delay to child (an ``a``-class value maintained by add_arc).
@@ -45,185 +39,86 @@ SECTION6_PRIORITY = winnowing(
 )
 
 
-@dataclass
-class PipelineResult:
-    """Aggregated outcome of scheduling a whole benchmark.
+def schedule_attempt(block: BasicBlock, machine: MachineModel,
+                     factory: Callable[[], DagBuilder], name: str,
+                     priority: Callable | None = None,
+                     verify: bool = False,
+                     cache: PairwiseCache | None = None,
+                     stats: BuildStats | None = None,
+                     tracer: Tracer | None = None,
+                     metrics: MetricsRegistry | None = None,
+                     ) -> tuple[DagBuilder, BuildOutcome, ScheduleResult,
+                                ScheduleTiming]:
+    """Run the three section 6 steps on one block, raising on failure.
 
-    Attributes:
-        approach: the builder's display name.
-        n_blocks: basic blocks processed.
-        n_instructions: total instructions scheduled.
-        build_stats: summed construction work counters.
-        dag_stats: Table 4/5 structural statistics.
-        total_makespan: summed per-block makespans of the schedules
-            (degraded blocks charged at their original-order makespan).
-        total_original_makespan: summed makespans of original orders.
-        degraded_makespan: the portion of both totals contributed by
-            failed blocks (charged identically to both sides, since a
-            degraded block runs in its original order).
-        unique_memory_exprs_max: largest per-block unique-memory-
-            expression count (Table 3 column).
-        failures: per-block failure records for blocks that fell back
-            to their original order (empty on a clean run).
-    """
-
-    approach: str
-    n_blocks: int = 0
-    n_instructions: int = 0
-    build_stats: BuildStats = field(default_factory=BuildStats)
-    dag_stats: ProgramDagStats = field(default_factory=ProgramDagStats)
-    total_makespan: int = 0
-    total_original_makespan: int = 0
-    degraded_makespan: int = 0
-    unique_memory_exprs_max: int = 0
-    failures: list[BlockFailure] = field(default_factory=list)
-
-    @property
-    def degraded_fraction(self) -> float:
-        """Fraction of processed blocks that fell back to original
-        order (0.0 on a clean or empty run)."""
-        if self.n_blocks == 0:
-            return 0.0
-        return len(self.failures) / self.n_blocks
-
-    @property
-    def speedup(self) -> float:
-        """Original over scheduled makespan, over the blocks that were
-        actually scheduled.
-
-        Degraded blocks are excluded from the ratio: they charge their
-        original-order makespan to *both* totals, so leaving them in
-        would drag the ratio toward 1.0 and mask real degradation --
-        check :attr:`degraded_fraction` alongside this number.  When
-        every block failed (or nothing was scheduled) there is no
-        schedule to rate and the speedup is explicitly 1.0.
-        """
-        scheduled = self.total_makespan - self.degraded_makespan
-        if scheduled <= 0:
-            return 1.0
-        return ((self.total_original_makespan - self.degraded_makespan)
-                / scheduled)
-
-
-def run_pipeline(blocks: list[BasicBlock], machine: MachineModel,
-                 builder_factory: Callable[[], DagBuilder],
-                 priority: Callable | None = None,
-                 heuristic_driver: str = "reverse_walk",
-                 schedule: bool = True,
-                 verify: bool = False,
-                 strict: bool = False,
-                 tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None
-                 ) -> PipelineResult:
-    """Run construction + heuristic pass + forward scheduling per block.
+    Builds the DAG with a fresh builder from ``factory``, runs the
+    intermediate backward heuristic pass, list-schedules forward
+    (checking the order against the DAG), simulates the original
+    order for comparison, and optionally verifies the schedule
+    independently.
 
     Args:
-        blocks: the benchmark's basic blocks (window already applied).
+        block: the basic block (non-empty).
         machine: timing model.
-        builder_factory: zero-argument callable producing a fresh
-            builder (builders are stateful per block).
-        priority: scheduling priority; defaults to the section 6
-            three-heuristic winnowing.
-        heuristic_driver: "reverse_walk" or "levels" -- the two
-            intermediate-pass drivers of section 4.
-        schedule: when False, stop after construction + heuristic pass
-            (for construction-only measurements).
-        verify: independently verify every block's schedule with
-            :func:`repro.verify.checker.verify_schedule` (re-deriving
-            dependences with the compare-against-all reference).
-        strict: re-raise the first per-block
-            :class:`~repro.errors.ReproError` instead of degrading.
-        tracer: optional :class:`~repro.obs.trace.Tracer`; records a
-            ``pipeline`` span with per-block spans (build/heuristics/
-            schedule/verify stages) and degradation events.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            records block structure (Table 3) and per-builder work
-            counters (Tables 4/5).
+        factory: zero-argument callable producing a fresh builder.  It
+            is called here, so a factory that raises fails the
+            ``build`` stage like a builder that raises.
+        name: the builder's chain name: the ``build`` span attribute,
+            the cache events' ``builder``, and the verifier's
+            ``approach`` (it appears in verification error strings).
+        priority: scheduling priority (default: section 6 winnowing).
+        verify: check the schedule with
+            :func:`repro.verify.checker.verify_schedule` and raise its
+            :class:`~repro.errors.VerificationError` on failure.
+        cache: the pairwise cache the verifier's reference builds use.
+        stats: work-counter sink handed to the build (a budgeted one
+            trips the work watchdog); default a fresh
+            :class:`~repro.dag.builders.base.BuildStats`.
+        tracer: records ``build``/``heuristics``/``schedule`` spans and
+            a ``cache-hit``/``cache-miss`` event when the builder has a
+            cache.
+        metrics: forwarded to the verifier.
 
     Returns:
-        Aggregated statistics for the whole benchmark.  When
-        ``strict`` is False (the default), a block whose construction,
-        scheduling, or verification fails is charged its *original*
-        order's makespan on both sides of the speedup ratio and is
-        recorded in ``result.failures``; working blocks are unaffected.
+        ``(builder, outcome, sched, original)``: the builder that ran,
+        its build outcome, the forward schedule, and the original
+        order's timing.
+
+    Raises:
+        ReproError: from any stage, tagged with a ``stage`` attribute
+            ("build", "heuristics", "schedule" or "verify").
     """
     if priority is None:
         priority = SECTION6_PRIORITY
     tracer = tracer or NULL_TRACER
-    driver = (backward_pass_levels if heuristic_driver == "levels"
-              else backward_pass)
-    builder_name = builder_factory().name
-    result = PipelineResult(approach=builder_name)
-    with tracer.span("pipeline", approach=builder_name):
-        for block in blocks:
-            if not block.instructions:
-                continue
-            stage = "build"
-            with tracer.span("block", index=block.index,
-                             label=block.label,
-                             size=len(block.instructions)) as block_attrs:
-                try:
-                    builder = builder_factory()
-                    with tracer.span("build", builder=builder_name):
-                        outcome = builder.build(block)
-                    dag = outcome.dag
-                    # Intermediate pass (the second pass over the
-                    # instructions).
-                    with tracer.span("heuristics",
-                                     driver=heuristic_driver):
-                        driver(dag, require_est=False)
-                    makespan = original_makespan = 0
-                    if schedule:
-                        stage = "schedule"
-                        with tracer.span("schedule"):
-                            sched = schedule_forward(dag, machine,
-                                                     priority)
-                            verify_order(sched.order, dag)
-                            original = simulate(list(dag.real_nodes()),
-                                                machine)
-                        makespan = sched.timing.makespan
-                        original_makespan = original.makespan
-                        if verify:
-                            stage = "verify"
-                            verify_schedule(
-                                block, sched.order, machine,
-                                claimed_issue_times=sched.timing
-                                .issue_times,
-                                approach=builder_name, tracer=tracer,
-                                metrics=metrics).raise_if_failed()
-                except ReproError as exc:
-                    if strict:
-                        raise
-                    tracer.event("degraded", index=block.index,
-                                 stage=stage)
-                    block_attrs["degraded"] = True
-                    result.failures.append(BlockFailure(
-                        block.index, block.label, stage, str(exc)))
-                    result.n_blocks += 1
-                    result.n_instructions += len(block.instructions)
-                    if schedule:
-                        fallback = degraded_timing(block, machine)
-                        result.total_makespan += fallback
-                        result.total_original_makespan += fallback
-                        result.degraded_makespan += fallback
-                    continue
-                block_attrs["degraded"] = False
-            result.build_stats.merge(outcome.stats)
-            result.dag_stats.add_dag(dag)
-            result.n_blocks += 1
-            result.n_instructions += len(block.instructions)
-            n_mem_exprs = len(block.unique_memory_exprs())
-            if metrics is not None:
-                rmap = getattr(builder, "reachability", None)
-                record_build(
-                    metrics, builder_name, outcome.stats,
-                    rmap.words_touched if rmap is not None else 0)
-                record_block_structure(metrics,
-                                       len(block.instructions),
-                                       n_mem_exprs)
-            if n_mem_exprs > result.unique_memory_exprs_max:
-                result.unique_memory_exprs_max = n_mem_exprs
-            if schedule:
-                result.total_makespan += makespan
-                result.total_original_makespan += original_makespan
-    return result
+    stage = "build"
+    try:
+        builder = factory()
+        builder_cache = getattr(builder, "cache", None)
+        hits_before = (builder_cache.hits
+                       if builder_cache is not None else None)
+        with tracer.span("build", builder=name):
+            outcome = builder.build(block, stats=stats)
+        if hits_before is not None:
+            tracer.event(
+                "cache-hit" if builder_cache.hits > hits_before
+                else "cache-miss", builder=name)
+        stage = "heuristics"
+        with tracer.span("heuristics"):
+            backward_pass(outcome.dag, require_est=False)
+        stage = "schedule"
+        with tracer.span("schedule"):
+            sched = schedule_forward(outcome.dag, machine, priority)
+            verify_order(sched.order, outcome.dag)
+            original = simulate(list(outcome.dag.real_nodes()), machine)
+        if verify:
+            stage = "verify"
+            verify_schedule(
+                block, sched.order, machine,
+                claimed_issue_times=sched.timing.issue_times,
+                approach=name, cache=cache, tracer=tracer,
+                metrics=metrics).raise_if_failed()
+    except ReproError as exc:
+        exc.stage = stage  # type: ignore[attr-defined]
+        raise
+    return builder, outcome, sched, original

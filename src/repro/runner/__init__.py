@@ -1,8 +1,7 @@
 """Resilient batch execution for the scheduling pipeline.
 
-The pipeline in :mod:`repro.pipeline` assumes every block builds,
-schedules, and verifies cleanly.  This package is the layer that does
-not: per-block watchdog budgets (:mod:`repro.runner.watchdog`),
+The section 6 attempt in :mod:`repro.pipeline` raises on the first
+failing stage.  This package is the layer that survives it: per-block watchdog budgets (:mod:`repro.runner.watchdog`),
 builder fallback chains (:mod:`repro.runner.fallback`),
 checkpoint/resume journals (:mod:`repro.runner.journal`), whole-run
 aggregation with optional dependence caching and block-parallel

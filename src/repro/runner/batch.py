@@ -1,11 +1,13 @@
 """The resilient batch runner: whole-program runs that survive bad blocks.
 
-:func:`run_batch` is the crash-tolerant counterpart of
-:func:`repro.pipeline.run_pipeline` for production-scale runs: every
-block goes through the watchdog + builder fallback chain
+:func:`run_batch` is the one whole-benchmark loop.  Every block goes
+through the section 6 attempt (:func:`repro.pipeline.schedule_attempt`)
+under the watchdog and the builder fallback chain
 (:mod:`repro.runner.fallback`), outcomes are journaled as the run
 progresses (:mod:`repro.runner.journal`), and an interrupted run
 resumes from the last completed block with bit-identical results.
+The paper's Tables 4 and 5 run one builder as a one-entry chain
+(:func:`repro.analysis.tables.table45_row`).
 
 Two performance knobs ride on top without changing any outcome:
 
@@ -138,6 +140,20 @@ class BatchResult:
         return total
 
 
+def record_block(metrics: MetricsRegistry | None, block: BasicBlock,
+                 outcome: BlockOutcome, replayed: bool = False) -> None:
+    """Record one block's structure (Table 3) and outcome accounting.
+
+    Every whole-run loop calls this once per block in program order,
+    journal- or WAL-replayed blocks included (``replayed=True``), so
+    the stable metrics do not depend on which loop ran the block.
+    """
+    if metrics is not None:
+        record_block_structure(metrics, len(block.instructions),
+                               len(block.unique_memory_exprs()))
+        record_outcome(metrics, outcome, replayed=replayed)
+
+
 def run_batch(blocks: Sequence[BasicBlock],
               machine: MachineModel,
               chain: Sequence[str] | None = None,
@@ -173,8 +189,10 @@ def run_batch(blocks: Sequence[BasicBlock],
         chain: builder chain names (default
             :data:`~repro.runner.fallback.DEFAULT_CHAIN`).
         chain_factories: pre-resolved (name, factory) pairs overriding
-            ``chain`` -- the fault-injection hook tests use to plant a
-            hanging or broken builder.
+            ``chain`` -- how :func:`repro.analysis.tables.table45_row`
+            runs one builder as a one-entry chain, and the
+            fault-injection hook tests use to plant a hanging or
+            broken builder.
         budget: per-block watchdog limits.
         priority: scheduling priority (default: section 6 winnowing).
         verify: independently verify every accepted schedule.
@@ -305,11 +323,7 @@ def run_batch(blocks: Sequence[BasicBlock],
                         tracer=tracer, metrics=metrics, breaker=breaker)
                     if journal is not None:
                         journal.append(outcome)
-                if metrics is not None:
-                    record_block_structure(
-                        metrics, len(block.instructions),
-                        len(block.unique_memory_exprs()))
-                    record_outcome(metrics, outcome, replayed=replayed)
+                record_block(metrics, block, outcome, replayed=replayed)
                 result.outcomes.append(outcome)
                 result.n_blocks += 1
                 result.n_instructions += len(block.instructions)

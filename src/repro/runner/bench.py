@@ -201,9 +201,7 @@ def _bench_builders(blocks, machine: MachineModel, repeats: int) -> dict:
             for block in blocks:
                 builder = cls(machine)
                 total.merge(builder.build(block).stats)
-                rmap = getattr(builder, "reachability", None)
-                if rmap is not None:
-                    words += rmap.words_touched
+                words += builder.words_touched
             return total, words
 
         elapsed, (total, words) = _best_of(repeats, build_all)

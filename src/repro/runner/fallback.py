@@ -25,9 +25,8 @@ from repro.dag.builders import (
     TableBackwardBuilder,
     TableForwardBuilder,
 )
-from repro.dag.builders.base import BuildOutcome, DagBuilder
+from repro.dag.builders.base import BuildOutcome, BuildStats, DagBuilder
 from repro.errors import BlockTimeout, ReproError
-from repro.heuristics.passes import backward_pass
 from repro.machine.model import MachineModel
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -35,11 +34,9 @@ from repro.obs.metrics import (
     record_build,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.pipeline import SECTION6_PRIORITY
+from repro.pipeline import schedule_attempt
 from repro.runner.watchdog import Budget, BudgetedStats, run_with_watchdog
-from repro.scheduling.list_scheduler import schedule_forward
-from repro.scheduling.timing import simulate, verify_order
-from repro.verify.checker import degraded_timing, verify_schedule
+from repro.verify.checker import degraded_timing
 
 #: builder name -> class, as exposed on the CLI
 BUILDER_CLASSES: dict[str, type[DagBuilder]] = {
@@ -290,54 +287,27 @@ def schedule_block_resilient(
     Returns:
         The accepted or degraded :class:`BlockOutcome`.
     """
-    if priority is None:
-        priority = SECTION6_PRIORITY
     tracer = tracer or NULL_TRACER
     label = block.label if block.label else str(block.index)
     attempts: list[Attempt] = []
     t_start = time.perf_counter()
 
     def attempt(name: str, factory: Callable[[], DagBuilder],
-                stats: BudgetedStats, atracer: Tracer) -> tuple:
+                stats: BuildStats, atracer: Tracer) -> tuple:
         with atracer.span("attempt", builder=name) as span_attrs:
-            stage = "build"
             try:
-                builder = factory()
-                builder_cache = getattr(builder, "cache", None)
-                hits_before = (builder_cache.hits
-                               if builder_cache is not None else None)
-                with atracer.span("build", builder=name):
-                    outcome = builder.build(block, stats=stats)
-                if hits_before is not None:
-                    atracer.event(
-                        "cache-hit" if builder_cache.hits > hits_before
-                        else "cache-miss", builder=name)
-                stage = "heuristics"
-                with atracer.span("heuristics"):
-                    backward_pass(outcome.dag, require_est=False)
-                stage = "schedule"
-                with atracer.span("schedule"):
-                    sched = schedule_forward(outcome.dag, machine,
-                                             priority)
-                    verify_order(sched.order, outcome.dag)
-                    original = simulate(
-                        list(outcome.dag.real_nodes()), machine)
-                if verify:
-                    stage = "verify"
-                    verify_schedule(
-                        block, sched.order, machine,
-                        claimed_issue_times=sched.timing.issue_times,
-                        approach=name, cache=cache, tracer=atracer,
-                        metrics=metrics).raise_if_failed()
-                span_attrs["stage"] = "ok"
-                return builder, outcome, sched, original
+                result = schedule_attempt(
+                    block, machine, factory, name, priority=priority,
+                    verify=verify, cache=cache, stats=stats,
+                    tracer=atracer, metrics=metrics)
             except BlockTimeout:
                 span_attrs["stage"] = "timeout"
                 raise
             except ReproError as exc:
-                span_attrs["stage"] = stage
-                exc.stage = stage  # type: ignore[attr-defined]
+                span_attrs["stage"] = exc.stage  # type: ignore[attr-defined]
                 raise
+            span_attrs["stage"] = "ok"
+            return result
 
     def finish(outcome: BlockOutcome) -> BlockOutcome:
         outcome.wall_s = time.perf_counter() - t_start
@@ -355,13 +325,14 @@ def schedule_block_resilient(
                 continue
             if on_attempt is not None:
                 on_attempt(name)
-            # A fresh budgeted counter per attempt: a failed attempt's
-            # spent work must neither count against the next builder's
-            # budget (double-charging) nor disappear -- it is
-            # snapshotted onto the Attempt record below.
-            stats = BudgetedStats(
-                budget.max_work if budget is not None else None,
-                block=label)
+            # A fresh counter per attempt: a failed attempt's spent
+            # work must neither count against the next builder's budget
+            # (double-charging) nor disappear -- it is snapshotted onto
+            # the Attempt record below.  Only a work budget needs the
+            # auditing subclass; a plain counter is cheaper.
+            stats = (BudgetedStats(budget.max_work, block=label)
+                     if budget is not None and budget.max_work is not None
+                     else BuildStats())
             # Under a wall-clock budget the attempt runs on a watchdog
             # thread that may outlive its deadline; give it a private
             # tracer and absorb only completed attempts, so an
@@ -401,9 +372,7 @@ def schedule_block_resilient(
             attempts.append(Attempt(name, "ok", work=stats.work))
             if breaker is not None:
                 breaker.record_success(name)
-            rmap = getattr(builder, "reachability", None)
-            record_build(metrics, name, stats,
-                         rmap.words_touched if rmap is not None else 0)
+            record_build(metrics, name, stats, builder.words_touched)
             block_attrs.update(builder=name, degraded=False,
                                makespan=sched.timing.makespan)
             return finish(BlockOutcome(

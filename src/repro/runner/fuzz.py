@@ -42,7 +42,6 @@ from repro.dag.builders import ALL_BUILDERS, CompareAllBuilder
 from repro.dag.builders.base import DagBuilder
 from repro.dag.transitive import classify_arcs
 from repro.errors import ReproError
-from repro.heuristics.passes import backward_pass
 from repro.isa.instruction import Instruction
 from repro.isa.memory import MemExpr
 from repro.isa.opcodes import lookup_opcode
@@ -55,9 +54,8 @@ from repro.isa.operands import (
 from repro.isa.registers import parse_register
 from repro.machine.model import MachineModel
 from repro.machine.presets import generic_risc
-from repro.pipeline import SECTION6_PRIORITY
-from repro.scheduling.list_scheduler import schedule_forward
-from repro.verify.checker import check_builders_agree, verify_schedule
+from repro.pipeline import schedule_attempt
+from repro.verify.checker import check_builders_agree
 from repro.workloads.kernels import KERNELS
 
 #: builders whose *schedules* are independently verified (Landskov is
@@ -250,14 +248,8 @@ def check_block(block: BasicBlock, machine: MachineModel,
         if cls.name == "landskov":
             continue  # documented pruning; closure-checked above
         try:
-            outcome = cls(machine).build(block)
-            backward_pass(outcome.dag, require_est=False)
-            sched = schedule_forward(outcome.dag, machine,
-                                     SECTION6_PRIORITY)
-            verify_schedule(
-                block, sched.order, machine,
-                claimed_issue_times=sched.timing.issue_times,
-                approach=cls.name).raise_if_failed()
+            schedule_attempt(block, machine, lambda: cls(machine),
+                             cls.name, verify=True)
         except ReproError as exc:
             return f"[{cls.name}] {exc}"
         except Exception as exc:  # noqa: BLE001 - fuzzing net

@@ -30,14 +30,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.dag.builders.base import BuildStats
+from repro.dag.builders.base import WORK_FIELDS, BuildStats
 from repro.errors import BlockTimeout
 
 T = TypeVar("T")
-
-#: counter fields that count toward the work budget
-_WORK_FIELDS = ("comparisons", "table_probes", "alias_checks",
-                "bitmap_ops")
 
 
 @dataclass(frozen=True)
@@ -80,14 +76,9 @@ class BudgetedStats(BuildStats):
         super().__init__()
         self._max_work = max_work
 
-    @property
-    def work(self) -> int:
-        """Summed budgeted work counters."""
-        return sum(getattr(self, name) for name in _WORK_FIELDS)
-
     def __setattr__(self, name: str, value: object) -> None:
         super().__setattr__(name, value)
-        if name.startswith("_") or name not in _WORK_FIELDS:
+        if name not in WORK_FIELDS:
             return
         limit = getattr(self, "_max_work", None)
         if limit is not None and self.work > limit:

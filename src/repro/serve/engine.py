@@ -40,7 +40,7 @@ from repro.errors import ReproError, RequestRejected
 from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry, record_deadline, record_shed_blocks
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runner.batch import run_batch
+from repro.runner.batch import record_block, run_batch
 from repro.runner.fallback import (
     DEFAULT_CHAIN,
     BlockOutcome,
@@ -230,7 +230,9 @@ def run_request(request: ScheduleRequest,
         max_work: per-attempt construction-work budget.
         cache: dependence cache override; default is this thread's
             warm per-machine cache.
-        metrics: optional registry (shed/deadline counters).
+        metrics: optional registry: per-block structure, outcome and
+            builder counters (the same stable set on both paths, WAL
+            replays included) plus shed/deadline counters.
         breaker: optional shared per-builder circuit breaker.
         cancelled: polled between blocks; returning a shed reason
             (e.g. ``"disconnect"``, ``"drain"``) sheds the remainder.
@@ -346,7 +348,7 @@ def run_request(request: ScheduleRequest,
                                         max_work=max_work),
                           verify=request.verify, jobs=jobs,
                           metrics=metrics, on_block=on_block,
-                          tracer=tracer,
+                          tracer=tracer, breaker=breaker,
                           chaos=chaos, retry=retry,
                           task_timeout=task_timeout,
                           quarantine_dir=quarantine_dir,
@@ -374,7 +376,10 @@ def run_request(request: ScheduleRequest,
                             request.id, block.index, why,
                             trace=request.trace))
                     else:
-                        account(BlockOutcome.from_record(recorded))
+                        outcome = BlockOutcome.from_record(recorded)
+                        record_block(metrics, block, outcome,
+                                     replayed=True)
+                        account(outcome)
                     continue
                 reason = check_stop()
                 if reason is not None:
@@ -389,6 +394,7 @@ def run_request(request: ScheduleRequest,
                     budget=Budget(wall_clock=wall, max_work=max_work),
                     verify=request.verify, cache=cache,
                     metrics=metrics, breaker=breaker, tracer=tracer)
+                record_block(metrics, block, outcome)
                 account(outcome)
         span_attrs["scheduled"] = n_scheduled
         span_attrs["shed"] = sum(shed_reasons.values())

@@ -51,12 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import JournalError, ReproError, RequestRejected
-from repro.machine.presets import (
-    generic_risc,
-    rs6000_like,
-    sparcstation2_like,
-    superscalar2,
-)
+from repro.machine.presets import MACHINES
 from repro.obs.expo import (
     EXPOSITION_CONTENT_TYPE,
     RollingWindow,
@@ -107,14 +102,6 @@ from repro.serve.wal import (
     FINISHED_OK,
     WriteAheadLog,
 )
-
-#: machine-model presets the daemon will schedule for
-MACHINE_PRESETS = {
-    "generic": generic_risc,
-    "sparc": sparcstation2_like,
-    "rs6000": rs6000_like,
-    "superscalar2": superscalar2,
-}
 
 
 @dataclass(frozen=True)
@@ -711,11 +698,11 @@ class ReproServer:
                                lock: asyncio.Lock) -> None:
         loop = asyncio.get_running_loop()
         request = ScheduleRequest.from_message(message)
-        if request.machine not in MACHINE_PRESETS:
+        if request.machine not in MACHINES:
             await self._send(writer, lock, protocol.error_frame(
                 request.id, "unknown-machine",
                 f"unknown machine {request.machine!r}; known: "
-                f"{sorted(MACHINE_PRESETS)}", trace=request.trace))
+                f"{sorted(MACHINES)}", trace=request.trace))
             return
         key = request.key or f"auto-{uuid.uuid4().hex}"
         finished = self._finished.get(key)
@@ -845,7 +832,7 @@ class ReproServer:
                 task.add_done_callback(on_sent)
             loop.call_soon_threadsafe(deliver)
 
-        machine = MACHINE_PRESETS[request.machine]()
+        machine = MACHINES[request.machine]()
         status = "ok"
         accounted = False
 
@@ -950,7 +937,7 @@ class ReproServer:
                     None, self.wal.log_finished, key, FINISHED_ERROR,
                     {"error": f"unreadable recovered request: {exc}"})
                 continue
-            if request.machine not in MACHINE_PRESETS:
+            if request.machine not in MACHINES:
                 await loop.run_in_executor(
                     None, self.wal.log_finished, key, FINISHED_ERROR,
                     {"error": f"unknown machine {request.machine!r}"})

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from repro.cli import ALGORITHMS, BUILDERS, MACHINES, main
+from repro.cli import ALGORITHMS, MACHINES, main
+from repro.runner.fallback import BUILDER_CLASSES
 from repro.workloads import kernel_source
 
 
@@ -61,7 +62,7 @@ class TestScheduleCommand:
 
 
 class TestDagCommand:
-    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("builder", sorted(BUILDER_CLASSES))
     def test_every_builder(self, asm_file, builder):
         status, text = run_cli(["dag", asm_file, "--builder", builder])
         assert status == 0
@@ -222,7 +223,6 @@ class TestExitStatuses:
         assert "reproducer:" in text
 
     def test_verify_broken_builder_is_1(self, asm_file, monkeypatch):
-        from repro import cli
         from repro.dag.builders import CompareAllBuilder
 
         class _Pruning(CompareAllBuilder):
@@ -234,7 +234,7 @@ class TestExitStatuses:
             def _construct(self, dag, space, oracle, stats):
                 pass
 
-        monkeypatch.setitem(cli.BUILDERS, "n2", _Pruning)
+        monkeypatch.setitem(BUILDER_CLASSES, "n2", _Pruning)
         status, text = run_cli(["verify", asm_file, "--builder", "n2"])
         assert status == 1
         assert "FAIL" in text

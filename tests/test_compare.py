@@ -71,7 +71,7 @@ class TestPaperTablesShape:
     def test_table5_arc_density_ordering_matches_paper(self):
         from repro.dag.builders import TableForwardBuilder
         from repro.machine import sparcstation2_like
-        from repro.pipeline import run_pipeline
+        from repro.runner.batch import run_batch
         from repro.workloads import generate_blocks, scaled_profile
 
         machine = sparcstation2_like()
@@ -80,9 +80,8 @@ class TestPaperTablesShape:
         measured = {}
         for name in paper_arcs_avg:
             blocks = generate_blocks(scaled_profile(name, 0.2))
-            r = run_pipeline(blocks, machine,
-                             lambda: TableForwardBuilder(machine),
-                             schedule=False)
+            r = run_batch(blocks, machine, chain_factories=[
+                ("table-forward", lambda: TableForwardBuilder(machine))])
             measured[name] = r.dag_stats.avg_arcs_per_block
         names = list(paper_arcs_avg)
         rho = rank_correlation([measured[n] for n in names],

@@ -21,7 +21,7 @@ from repro.heuristics.passes import backward_pass
 from repro.isa.memory import AliasPolicy, MemExpr
 from repro.isa.resources import ResourceKind, mem_resource
 from repro.machine import generic_risc, sparcstation2_like
-from repro.pipeline import run_pipeline
+from repro.runner.batch import run_batch
 from repro.scheduling.list_scheduler import (
     schedule_backward,
     schedule_forward,
@@ -157,8 +157,8 @@ class TestSchedulerEdges:
 class TestPipelineEdges:
     def test_empty_block_list(self):
         machine = generic_risc()
-        result = run_pipeline([], machine,
-                              lambda: TableForwardBuilder(machine))
+        result = run_batch([], machine, chain_factories=[
+            ("table-forward", lambda: TableForwardBuilder(machine))])
         assert result.n_blocks == 0
         assert result.speedup == 1.0
 
@@ -166,8 +166,8 @@ class TestPipelineEdges:
         from repro.cfg.basic_block import BasicBlock
         machine = generic_risc()
         blocks = partition_blocks(parse_asm("nop")) + [BasicBlock(1, [])]
-        result = run_pipeline(blocks, machine,
-                              lambda: TableForwardBuilder(machine))
+        result = run_batch(blocks, machine, chain_factories=[
+            ("table-forward", lambda: TableForwardBuilder(machine))])
         assert result.n_blocks == 1
 
 

@@ -1,7 +1,13 @@
-"""Tests for the section 6 end-to-end pipeline."""
+"""Tests for the section 6 end-to-end pipeline.
+
+The pipeline is :func:`repro.pipeline.schedule_attempt` per block; a
+whole benchmark runs as a one-entry builder chain on
+:func:`repro.runner.batch.run_batch`, the way Tables 4 and 5 run it.
+"""
 
 import pytest
 
+from repro.analysis.tables import table3_row
 from repro.cfg import apply_window
 from repro.dag.builders import (
     ALL_BUILDERS,
@@ -9,8 +15,11 @@ from repro.dag.builders import (
     TableBackwardBuilder,
     TableForwardBuilder,
 )
+from repro.errors import DagError
+from repro.heuristics.passes import backward_pass_levels
 from repro.machine import sparcstation2_like
-from repro.pipeline import SECTION6_PRIORITY, run_pipeline
+from repro.pipeline import schedule_attempt
+from repro.runner.batch import run_batch
 from repro.workloads import generate_blocks, scaled_profile
 
 
@@ -24,25 +33,24 @@ def small_blocks():
     return generate_blocks(scaled_profile("linpack", 0.15))
 
 
+def run_one(blocks, machine, factory, **kwargs):
+    """The section 6 pipeline over ``blocks`` with a single builder."""
+    return run_batch(blocks, machine,
+                     chain_factories=[(factory().name, factory)], **kwargs)
+
+
 class TestRunPipeline:
     def test_counts(self, machine, small_blocks):
-        r = run_pipeline(small_blocks, machine,
-                         lambda: TableForwardBuilder(machine))
+        r = run_one(small_blocks, machine,
+                    lambda: TableForwardBuilder(machine))
         assert r.n_blocks == len(small_blocks)
         assert r.n_instructions == sum(b.size for b in small_blocks)
 
     def test_scheduling_improves_or_matches(self, machine, small_blocks):
-        r = run_pipeline(small_blocks, machine,
-                         lambda: TableForwardBuilder(machine))
+        r = run_one(small_blocks, machine,
+                    lambda: TableForwardBuilder(machine))
         assert r.total_makespan <= r.total_original_makespan
         assert r.speedup >= 1.0
-
-    def test_construction_only_mode(self, machine, small_blocks):
-        r = run_pipeline(small_blocks, machine,
-                         lambda: TableForwardBuilder(machine),
-                         schedule=False)
-        assert r.total_makespan == 0
-        assert r.dag_stats.n_blocks == len(small_blocks)
 
     def test_all_builders_schedule_same_total(self, machine, small_blocks):
         # Paper conclusion 6 (reinterpreted for makespans): the three
@@ -51,44 +59,47 @@ class TestRunPipeline:
         # makespans must be identical; n**2 keeps extra transitive
         # arcs but the same closure, so its schedule can differ only
         # through heuristic-value changes, not legality.
-        fw = run_pipeline(small_blocks, machine,
-                          lambda: TableForwardBuilder(machine))
-        bw = run_pipeline(small_blocks, machine,
-                          lambda: TableBackwardBuilder(machine))
+        fw = run_one(small_blocks, machine,
+                     lambda: TableForwardBuilder(machine))
+        bw = run_one(small_blocks, machine,
+                     lambda: TableBackwardBuilder(machine))
         assert fw.total_makespan == bw.total_makespan
 
     def test_heuristic_driver_equivalence(self, machine, small_blocks):
-        walk = run_pipeline(small_blocks, machine,
-                            lambda: TableForwardBuilder(machine))
-        levels = run_pipeline(small_blocks, machine,
-                              lambda: TableForwardBuilder(machine),
-                              heuristic_driver="levels")
-        assert walk.total_makespan == levels.total_makespan
+        # Paper conclusion 4: the level driver recomputes exactly the
+        # values the pipeline's reverse walk left on every node.
+        def values(dag):
+            return [(n.max_path_to_leaf, n.max_delay_to_leaf, n.lst,
+                     n.slack) for n in dag.nodes]
+
+        for block in small_blocks:
+            _, outcome, _, _ = schedule_attempt(
+                block, machine, lambda: TableForwardBuilder(machine),
+                "table-forward")
+            walk = values(outcome.dag)
+            backward_pass_levels(outcome.dag, require_est=False)
+            assert values(outcome.dag) == walk
 
     def test_work_counters_accumulated(self, machine, small_blocks):
-        n2 = run_pipeline(small_blocks, machine,
-                          lambda: CompareAllBuilder(machine))
-        tf = run_pipeline(small_blocks, machine,
-                          lambda: TableForwardBuilder(machine))
+        n2 = run_one(small_blocks, machine,
+                     lambda: CompareAllBuilder(machine))
+        tf = run_one(small_blocks, machine,
+                     lambda: TableForwardBuilder(machine))
         assert n2.build_stats.comparisons > 0
         assert tf.build_stats.comparisons == 0
         assert tf.build_stats.table_probes > 0
 
-    def test_unique_mem_expr_max_tracked(self, machine, small_blocks):
-        r = run_pipeline(small_blocks, machine,
-                         lambda: TableForwardBuilder(machine),
-                         schedule=False)
+    def test_unique_mem_expr_max_tracked(self, small_blocks):
         expected = max(len(b.unique_memory_exprs()) for b in small_blocks)
-        assert r.unique_memory_exprs_max == expected
+        assert table3_row("linpack", small_blocks)["memexpr/bb max"] \
+            == expected
 
     def test_windowing_reduces_n2_work(self, machine):
         blocks = generate_blocks(scaled_profile("tomcatv", 0.3))
-        unwindowed = run_pipeline(blocks, machine,
-                                  lambda: CompareAllBuilder(machine),
-                                  schedule=False)
-        windowed = run_pipeline(apply_window(blocks, 100), machine,
-                                lambda: CompareAllBuilder(machine),
-                                schedule=False)
+        unwindowed = run_one(blocks, machine,
+                             lambda: CompareAllBuilder(machine))
+        windowed = run_one(apply_window(blocks, 100), machine,
+                           lambda: CompareAllBuilder(machine))
         assert windowed.build_stats.comparisons \
             < unwindowed.build_stats.comparisons
 
@@ -96,6 +107,27 @@ class TestRunPipeline:
                              ids=lambda c: c.name)
     def test_every_builder_runs_the_pipeline(self, machine, builder_cls):
         blocks = generate_blocks(scaled_profile("grep", 0.05))
-        r = run_pipeline(blocks, machine, lambda: builder_cls(machine))
+        r = run_one(blocks, machine, lambda: builder_cls(machine))
         assert r.n_blocks == len(blocks)
         assert r.speedup >= 1.0
+
+
+class TestScheduleAttempt:
+    def test_returns_the_three_steps_results(self, machine, small_blocks):
+        block = next(b for b in small_blocks if b.size > 3)
+        builder, outcome, sched, original = schedule_attempt(
+            block, machine, lambda: TableForwardBuilder(machine),
+            "table-forward", verify=True)
+        assert isinstance(builder, TableForwardBuilder)
+        assert len(sched.order) == block.size
+        assert sched.makespan <= original.makespan
+        assert outcome.stats.table_probes > 0
+
+    def test_factory_failure_is_a_build_stage_failure(self, machine,
+                                                      small_blocks):
+        def factory():
+            raise DagError("no builder today")
+
+        with pytest.raises(DagError) as info:
+            schedule_attempt(small_blocks[0], machine, factory, "x")
+        assert info.value.stage == "build"

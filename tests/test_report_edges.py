@@ -1,7 +1,7 @@
 """Edge cases for the report types: empty programs and all-degraded runs.
 
-Every ratio-bearing report (``TransformReport``, ``PipelineResult``,
-``BatchResult``) must answer 0.0 degraded fraction on empty input and
+Every ratio-bearing report (``TransformReport``, ``BatchResult``)
+must answer 0.0 degraded fraction on empty input and
 exactly 1.0 speedup when nothing was actually scheduled -- no
 division-by-zero, no NaN, no charging degraded blocks to one side only.
 """
@@ -12,8 +12,7 @@ from repro.asm import parse_asm
 from repro.cfg import partition_blocks
 from repro.errors import ReproError
 from repro.machine import generic_risc
-from repro.pipeline import PipelineResult, run_pipeline
-from repro.runner import BatchResult
+from repro.runner import BatchResult, run_batch
 from repro.transform import TransformReport, schedule_program
 from repro.workloads import kernel_source
 
@@ -53,29 +52,24 @@ class TestTransformReport:
         assert report.speedup == 1.0
 
 
-class TestPipelineResult:
-    def test_empty_result_properties(self):
-        result = PipelineResult(approach="x")
-        assert result.degraded_fraction == 0.0
-        assert result.speedup == 1.0
-
-    def test_empty_blocks_run(self):
-        result = run_pipeline([], generic_risc(), _AlwaysBroken)
-        assert result.n_blocks == 0
-        assert result.speedup == 1.0
-
-    def test_all_degraded_run(self):
-        blocks = partition_blocks(
-            parse_asm(kernel_source("daxpy"), "daxpy"))
-        result = run_pipeline(blocks, generic_risc(), _AlwaysBroken)
-        assert result.n_blocks > 0
-        assert result.degraded_fraction == 1.0
-        assert result.speedup == 1.0
-
-
 class TestBatchResult:
     def test_empty_result_properties(self):
         result = BatchResult(chain=("n2",))
         assert result.degraded_fraction == 0.0
         assert result.speedup == 1.0
         assert result.wasted_work == 0
+
+    def test_empty_blocks_run(self):
+        result = run_batch([], generic_risc(),
+                           chain_factories=[("broken", _AlwaysBroken)])
+        assert result.n_blocks == 0
+        assert result.speedup == 1.0
+
+    def test_all_degraded_run(self):
+        blocks = partition_blocks(
+            parse_asm(kernel_source("daxpy"), "daxpy"))
+        result = run_batch(blocks, generic_risc(),
+                           chain_factories=[("broken", _AlwaysBroken)])
+        assert result.n_blocks > 0
+        assert result.degraded_fraction == 1.0
+        assert result.speedup == 1.0

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ProtocolError, ReproError, RequestRejected
 from repro.machine.presets import generic_risc
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import run_batch
+from repro.runner import CircuitBreaker, run_batch
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.engine import request_blocks, run_request
@@ -309,6 +309,23 @@ class TestEngineDeadlines:
         # At the cap is still fine (no off-by-one).
         assert len(request_blocks(_workload_request(copies=3),
                                   max_blocks=3)) == 3
+
+
+class TestEnginePaths:
+    """The serial loop and the pooled path honour the same options."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_breaker_trips_on_both_paths(self, jobs):
+        # A one-unit work budget trips every attempt, so a threshold-1
+        # breaker must open whichever path runs the blocks.
+        request = _workload_request(copies=3)
+        breaker = CircuitBreaker(threshold=1)
+        summary = run_request(
+            request, generic_risc(), request_blocks(request),
+            lambda frame: None, jobs=jobs, max_work=1, breaker=breaker,
+            chain_names=("bitmap-backward", "n2"))
+        assert summary["degraded"] == 3
+        assert ("bitmap-backward", "open") in breaker.transitions
 
 
 class _Client:

@@ -24,7 +24,8 @@ from repro.errors import (
 )
 from repro.heuristics.passes import backward_pass
 from repro.machine import generic_risc, sparcstation2_like
-from repro.pipeline import SECTION6_PRIORITY, run_pipeline
+from repro.pipeline import SECTION6_PRIORITY, schedule_attempt
+from repro.runner.batch import run_batch
 from repro.scheduling.list_scheduler import schedule_forward
 from repro.transform import schedule_program
 from repro.verify import (
@@ -46,6 +47,12 @@ def scheduled(block, machine, builder_cls):
     outcome = builder_cls(machine).build(block)
     backward_pass(outcome.dag, require_est=False)
     return schedule_forward(outcome.dag, machine, SECTION6_PRIORITY)
+
+
+def run_one(blocks, machine, factory, **kwargs):
+    """The section 6 pipeline over ``blocks`` with a single builder."""
+    return run_batch(blocks, machine,
+                     chain_factories=[(factory().name, factory)], **kwargs)
 
 
 class BrokenBuilder(TableForwardBuilder):
@@ -196,9 +203,8 @@ class TestCrossBuilderDifferential:
                                  seed=seed)
         outcomes = {}
         for cls in ALL_BUILDERS:
-            result = run_pipeline(blocks, machine,
-                                  lambda c=cls: c(machine),
-                                  verify=True)
+            result = run_one(blocks, machine, lambda c=cls: c(machine),
+                             verify=True)
             assert not result.failures, \
                 (cls.name, result.failures[:1])
             outcomes[cls.name] = result.total_makespan
@@ -212,16 +218,16 @@ class TestCrossBuilderDifferential:
         blocks = generate_blocks(scaled_profile("linpack", 0.08), seed=3)
         exact = {}
         for cls in (CompareAllBuilder, TableForwardBuilder):
-            result = run_pipeline(blocks, machine,
-                                  lambda c=cls: c(machine), verify=True)
+            result = run_one(blocks, machine, lambda c=cls: c(machine),
+                             verify=True)
             assert not result.failures
             exact[cls.name] = result.total_makespan
         assert len(set(exact.values())) == 1
-        pruned = run_pipeline(blocks, machine,
-                              lambda: LandskovBuilder(machine),
-                              verify=True)
+        pruned = run_one(blocks, machine,
+                         lambda: LandskovBuilder(machine), verify=True)
         assert pruned.failures
-        assert all(f.stage == "verify" for f in pruned.failures)
+        assert all(f.attempts[0].stage == "verify"
+                   for f in pruned.failures)
         assert pruned.total_makespan > next(iter(exact.values()))
 
 
@@ -229,21 +235,23 @@ class TestGracefulDegradation:
     def test_broken_builder_degrades(self, machine):
         blocks = [b for b in partition_blocks(
             parse_asm(kernel_source("daxpy"))) if b.size]
-        result = run_pipeline(blocks, machine,
-                              lambda: BrokenBuilder(machine))
+        result = run_one(blocks, machine, lambda: BrokenBuilder(machine))
         assert result.n_blocks == len(blocks)
         assert len(result.failures) == len(blocks)
-        assert all(f.stage == "build" for f in result.failures)
-        assert all("deliberately broken" in f.error
+        assert all(f.attempts[0].stage == "build"
+                   for f in result.failures)
+        assert all("deliberately broken" in f.attempts[0].error
                    for f in result.failures)
         assert result.speedup == 1.0  # fallback charges original order
 
     def test_strict_reraises(self, machine):
-        blocks = [b for b in partition_blocks(
-            parse_asm(kernel_source("daxpy"))) if b.size]
-        with pytest.raises(DagError):
-            run_pipeline(blocks, machine,
-                         lambda: BrokenBuilder(machine), strict=True)
+        # The per-block stage function is the strict path: it raises
+        # the builder's own error, tagged with the failing stage.
+        block = first_block(kernel_source("daxpy"))
+        with pytest.raises(DagError) as info:
+            schedule_attempt(block, machine, lambda: BrokenBuilder(machine),
+                             "broken")
+        assert info.value.stage == "build"
 
     def test_arcless_builder_caught_by_verification(self, machine):
         blocks = [b for b in partition_blocks(
@@ -251,11 +259,11 @@ class TestGracefulDegradation:
         # With no arcs, a largest-id-first priority reverses the block;
         # only the independent verifier can notice.
         priority = lambda node, state: node.id
-        result = run_pipeline(blocks, machine,
-                              lambda: ArclessBuilder(machine),
-                              priority=priority, verify=True)
+        result = run_one(blocks, machine, lambda: ArclessBuilder(machine),
+                         priority=priority, verify=True)
         assert result.failures
-        assert all(f.stage == "verify" for f in result.failures)
+        assert all(f.attempts[0].stage == "verify"
+                   for f in result.failures)
 
     def test_transform_emits_original_order_on_failure(self, machine):
         program = parse_asm(kernel_source("daxpy"))
@@ -277,18 +285,16 @@ class TestGracefulDegradation:
     def test_clean_run_has_no_failures(self, machine):
         blocks = [b for b in partition_blocks(
             parse_asm(kernel_source("daxpy"))) if b.size]
-        result = run_pipeline(blocks, machine,
-                              lambda: TableForwardBuilder(machine),
-                              verify=True)
+        result = run_one(blocks, machine,
+                         lambda: TableForwardBuilder(machine), verify=True)
         assert result.failures == []
 
     def test_sparc_pipeline_verifies_clean(self):
         machine = sparcstation2_like()
         blocks = [b for b in partition_blocks(
             parse_asm(kernel_source("daxpy"))) if b.size]
-        result = run_pipeline(blocks, machine,
-                              lambda: TableForwardBuilder(machine),
-                              verify=True)
+        result = run_one(blocks, machine,
+                         lambda: TableForwardBuilder(machine), verify=True)
         assert result.failures == []
 
     @pytest.mark.parametrize("builder_cls", ALL_BUILDERS,
