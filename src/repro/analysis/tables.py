@@ -83,14 +83,9 @@ def table45_row(name: str, blocks: list[BasicBlock],
     one-entry builder chain, reporting wall-clock seconds, the
     structural statistics, and the machine-independent work counters.
     """
-    def release(outcome) -> None:
-        # The aggregates already counted this block's DAG; dropping it
-        # keeps one block's DAG alive at a time, not the benchmark's.
-        outcome.dag_stats_outcome = None
-
     start = time.perf_counter()
     result = run_batch(blocks, machine, chain_factories=[
-        (builder_factory().name, builder_factory)], on_block=release)
+        (builder_factory().name, builder_factory)])
     elapsed = time.perf_counter() - start
     stats = result.dag_stats
     return {

@@ -64,10 +64,6 @@ class ProgramDagStats:
         if stats.n_arcs > self.max_arcs_per_block:
             self.max_arcs_per_block = stats.n_arcs
 
-    def add_dag(self, dag: Dag) -> None:
-        """Convenience: compute and fold in one DAG's statistics."""
-        self.add(dag_stats(dag))
-
     @property
     def avg_children(self) -> float:
         """Average children per instruction across the benchmark."""

@@ -1,13 +1,17 @@
 """The resilient batch runner: whole-program runs that survive bad blocks.
 
-:func:`run_batch` is the one whole-benchmark loop.  Every block goes
+:func:`run_batch` is the one per-block loop: ``repro schedule``, the
+paper's Tables 4 and 5 (one builder as a one-entry chain,
+:func:`repro.analysis.tables.table45_row`) and every daemon request
+(:func:`repro.serve.engine.run_request`) run on it.  Every block goes
 through the section 6 attempt (:func:`repro.pipeline.schedule_attempt`)
 under the watchdog and the builder fallback chain
 (:mod:`repro.runner.fallback`), outcomes are journaled as the run
 progresses (:mod:`repro.runner.journal`), and an interrupted run
 resumes from the last completed block with bit-identical results.
-The paper's Tables 4 and 5 run one builder as a one-entry chain
-(:func:`repro.analysis.tables.table45_row`).
+An accepted outcome carries its work counters and DAG structure as
+flat statistics, not the DAG, so serial, pooled and replayed blocks
+aggregate in one branch and the outcomes keep no DAG alive.
 
 Two performance knobs ride on top without changing any outcome:
 
@@ -35,7 +39,7 @@ from typing import Callable, Sequence
 from repro.cfg.basic_block import BasicBlock
 from repro.dag.builders.base import BuildStats, DagBuilder
 from repro.dag.builders.cache import PairwiseCache
-from repro.dag.stats import BlockDagStats, ProgramDagStats
+from repro.dag.stats import ProgramDagStats
 from repro.errors import BatchInterrupted, ReproError
 from repro.machine.model import MachineModel
 from repro.obs.metrics import (
@@ -279,8 +283,7 @@ def run_batch(blocks: Sequence[BasicBlock],
         if fresh:
             spool = SupervisedPool(
                 fresh, machine, chain_names, budget, verify,
-                cache is not None, bool(tracer), metrics is not None,
-                jobs, retry=retry, chaos=chaos,
+                cache is not None, jobs, retry=retry, chaos=chaos,
                 task_timeout=task_timeout,
                 quarantine_dir=quarantine_dir, breaker=breaker,
                 tracer=tracer, metrics=metrics,
@@ -293,36 +296,26 @@ def run_batch(blocks: Sequence[BasicBlock],
                          n_blocks=len(todo)):
             for block in todo:
                 outcome = completed.get(block.index)
-                counters: tuple[int, ...] | None = None
-                block_stats: BlockDagStats | None = None
                 replayed = outcome is not None
-                if outcome is not None:
+                if replayed:
                     result.n_replayed += 1
                     tracer.event("replayed", index=block.index)
                 elif spool is not None and block.index in spool:
-                    verdict = spool.result(block.index)
-                    if verdict[0] == "quarantined":
-                        outcome = verdict[1]
-                    else:
-                        _, record, counters, block_stats, obs = verdict
-                        outcome = BlockOutcome.from_record(record)
-                        if obs is not None:
-                            entries, dumped = obs
-                            if entries:
-                                tracer.absorb(
-                                    entries,
-                                    parent=tracer.current_span)
-                            if dumped and metrics is not None:
-                                metrics.merge(dumped)
-                    if journal is not None:
-                        journal.append(outcome)
+                    outcome, obs = spool.result(block.index)
+                    if obs is not None:
+                        entries, dumped = obs
+                        if entries:
+                            tracer.absorb(
+                                entries, parent=tracer.current_span)
+                        if dumped and metrics is not None:
+                            metrics.merge(dumped)
                 else:
                     outcome = schedule_block_resilient(
                         block, machine, chain_factories, budget=budget,
                         priority=priority, verify=verify, cache=cache,
                         tracer=tracer, metrics=metrics, breaker=breaker)
-                    if journal is not None:
-                        journal.append(outcome)
+                if journal is not None and not replayed:
+                    journal.append(outcome)
                 record_block(metrics, block, outcome, replayed=replayed)
                 result.outcomes.append(outcome)
                 result.n_blocks += 1
@@ -331,14 +324,9 @@ def run_batch(blocks: Sequence[BasicBlock],
                 result.total_original_makespan += outcome.original_makespan
                 if outcome.degraded:
                     result.degraded_makespan += outcome.makespan
-                if outcome.live and outcome.dag_stats_outcome is not None:
-                    result.build_stats.merge(
-                        outcome.dag_stats_outcome.stats)
-                    result.dag_stats.add_dag(outcome.dag_stats_outcome.dag)
-                elif counters is not None:
-                    result.build_stats.merge(BuildStats(*counters))
-                    if block_stats is not None:
-                        result.dag_stats.add(block_stats)
+                if outcome.build_stats is not None:
+                    result.build_stats.merge(outcome.build_stats)
+                    result.dag_stats.add(outcome.block_stats)
                 if on_block is not None:
                     on_block(outcome)
         finished = True

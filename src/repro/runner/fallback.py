@@ -25,7 +25,8 @@ from repro.dag.builders import (
     TableBackwardBuilder,
     TableForwardBuilder,
 )
-from repro.dag.builders.base import BuildOutcome, BuildStats, DagBuilder
+from repro.dag.builders.base import BuildStats, DagBuilder
+from repro.dag.stats import BlockDagStats, dag_stats
 from repro.errors import BlockTimeout, ReproError
 from repro.machine.model import MachineModel
 from repro.obs.metrics import (
@@ -136,10 +137,13 @@ class BlockOutcome:
             accepted attempt or the degradation record).
         live: True when this outcome was computed in this run, False
             when it was replayed from a journal (replayed outcomes
-            carry no DAG/work statistics).
-        dag_stats_outcome: the accepted attempt's build outcome (DAG +
-            work counters), present only on live, non-degraded
-            outcomes.
+            carry no work or DAG statistics).
+        build_stats: the accepted attempt's construction work
+            counters (a plain :class:`BuildStats` copy), present only
+            on live, non-degraded outcomes.
+        block_stats: the accepted DAG's Table 4/5 structure
+            (:func:`~repro.dag.stats.dag_stats`), present exactly when
+            ``build_stats`` is; the DAG itself is not kept.
         quarantined: True when the supervised pool exhausted the
             block's retry budget (repeated worker crashes or poisoned
             payloads) and excluded it from further scheduling.  A
@@ -164,7 +168,8 @@ class BlockOutcome:
     original_makespan: int
     attempts: list[Attempt] = field(default_factory=list)
     live: bool = True
-    dag_stats_outcome: BuildOutcome | None = None
+    build_stats: BuildStats | None = None
+    block_stats: BlockDagStats | None = None
     wall_s: float | None = None
     quarantined: bool = False
     reproducer: str | None = None
@@ -337,8 +342,9 @@ def schedule_block_resilient(
             # thread that may outlive its deadline; give it a private
             # tracer and absorb only completed attempts, so an
             # abandoned thread can never corrupt the main trace.
-            threaded = (budget is not None
-                        and budget.wall_clock is not None)
+            threaded = budget is not None and (
+                budget.wall_clock is not None
+                or budget.deadline is not None)
             atracer = (Tracer(worker=tracer.worker)
                        if tracer and threaded else tracer)
             try:
@@ -375,12 +381,18 @@ def schedule_block_resilient(
             record_build(metrics, name, stats, builder.words_touched)
             block_attrs.update(builder=name, degraded=False,
                                makespan=sched.timing.makespan)
-            return finish(BlockOutcome(
+            accepted = finish(BlockOutcome(
                 index=block.index, label=block.label, builder=name,
                 order=[node.id for node in sched.order],
                 makespan=sched.timing.makespan,
                 original_makespan=original.makespan,
-                attempts=attempts, dag_stats_outcome=outcome))
+                attempts=attempts))
+            # Flattened outside the block's wall time, as bookkeeping;
+            # the DAG itself is dropped on return.
+            accepted.build_stats = BuildStats()
+            accepted.build_stats.merge(stats)
+            accepted.block_stats = dag_stats(outcome.dag)
+            return accepted
 
         # Terminal degradation: the original order is always a correct
         # schedule of itself.

@@ -48,7 +48,6 @@ from typing import Callable, Sequence
 
 from repro.cfg.basic_block import BasicBlock
 from repro.dag.builders.cache import PairwiseCache
-from repro.dag.stats import BlockDagStats, dag_stats
 from repro.errors import ReproError
 from repro.machine.model import MachineModel
 from repro.obs.metrics import (
@@ -75,9 +74,9 @@ from repro.verify.checker import degraded_timing
 # Worker processes rebuild their chain (and their own pairwise cache)
 # from plain picklable inputs: the section 6 priority and injected
 # chain factories are closures, which is why ``jobs > 1`` refuses
-# them.  Workers ship back ``(record, counters, block_stats, obs)`` --
-# everything JSON/dataclass-flat -- and the parent reassembles
-# outcomes (and the merged trace/metrics) in program order.
+# them.  Workers ship back ``(outcome, obs)`` -- the block's
+# BlockOutcome, flat statistics included, plus its trace entries and
+# metrics dump -- and the parent consumes them in program order.
 
 _WORKER_STATE: dict = {}
 
@@ -123,17 +122,12 @@ def _init_worker(machine: MachineModel, chain_names: tuple[str, ...],
 def _run_block(block: BasicBlock,
                skip_builders: Sequence[str] = (),
                on_attempt: Callable[[str], None] | None = None) -> tuple[
-        dict, tuple[int, ...] | None, BlockDagStats | None,
-        tuple[list[dict], list[dict]] | None]:
+        BlockOutcome, tuple[list[dict], list[dict]] | None]:
     """Schedule one block in a worker process.
 
-    Returns the journal record plus the flattened statistics the
-    parent folds into the :class:`~repro.runner.batch.BatchResult` (a
-    replayed :class:`~repro.runner.fallback.BlockOutcome` cannot carry
-    the live DAG across the process boundary, so the counters travel
-    separately), plus -- when observability is on -- the block's trace
-    entries and metrics dump for the parent to absorb/merge in program
-    order.
+    Returns the block's outcome plus -- when observability is on --
+    its trace entries and metrics dump for the parent to absorb/merge
+    in program order.
     """
     cache = _WORKER_STATE["cache"]
     tracer = (Tracer(worker=os.getpid()) if _WORKER_STATE["trace"]
@@ -150,19 +144,11 @@ def _run_block(block: BasicBlock,
     if registry is not None and cache is not None:
         record_cache(registry, cache.hits - hits0,
                      cache.misses - misses0)
-    counters = None
-    block_stats = None
-    if outcome.dag_stats_outcome is not None:
-        s = outcome.dag_stats_outcome.stats
-        counters = (s.comparisons, s.table_probes, s.alias_checks,
-                    s.arcs_added, s.arcs_merged, s.arcs_suppressed,
-                    s.bitmap_ops)
-        block_stats = dag_stats(outcome.dag_stats_outcome.dag)
     obs = None
     if tracer is not None or registry is not None:
         obs = (tracer.entries if tracer is not None else [],
                registry.dump() if registry is not None else [])
-    return outcome.to_record(volatile=True), counters, block_stats, obs
+    return outcome, obs
 
 
 def _worker_main(conn: Connection, init_args: tuple) -> None:
@@ -485,8 +471,7 @@ class SupervisedPool:
             quarantine verdict's degraded makespan).
         chain_names: builder chain for the workers.
         budget: per-attempt watchdog limits, forwarded to workers.
-        verify / use_cache / trace / metrics_on: worker
-            configuration.
+        verify / use_cache: worker configuration.
         jobs: worker process count (capped at ``len(blocks)``).
         retry: crash retry/backoff policy (default
             :class:`RetryPolicy`).
@@ -501,9 +486,12 @@ class SupervisedPool:
             quarantine without writing a file).
         breaker: optional parent-side :class:`CircuitBreaker`.
         tracer: parent tracer for supervision events (restarts,
-            retries, quarantines); worker block traces are returned
-            through :meth:`result` for program-order absorption.
-        metrics: parent registry for supervision counters.
+            retries, quarantines); when set, workers trace their
+            blocks and the entries are returned through
+            :meth:`result` for program-order absorption.
+        metrics: parent registry for supervision counters; when set,
+            workers record block metrics and return their dumps
+            through :meth:`result` for program-order merging.
         mem_limit_mb: opt-in per-worker address-space ceiling in MiB
             (``RLIMIT_AS`` in the worker bootstrap).  A worker whose
             allocation exceeds it fails with a ``MemoryError``
@@ -517,8 +505,6 @@ class SupervisedPool:
                  budget: Budget | None,
                  verify: bool,
                  use_cache: bool,
-                 trace: bool,
-                 metrics_on: bool,
                  jobs: int,
                  retry: RetryPolicy | None = None,
                  chaos: object | None = None,
@@ -531,7 +517,8 @@ class SupervisedPool:
         self._machine = machine
         self._chain_names = chain_names
         self._init_args = (machine, chain_names, budget, verify,
-                           use_cache, trace, metrics_on, mem_limit_mb)
+                           use_cache, bool(tracer), metrics is not None,
+                           mem_limit_mb)
         self._retry = retry or RetryPolicy()
         self._chaos = chaos
         self._task_timeout = task_timeout
@@ -589,9 +576,10 @@ class SupervisedPool:
     def result(self, index: int) -> tuple:
         """Block until block ``index`` has a verdict; return it.
 
-        Returns either ``("done", record, counters, block_stats, obs)``
-        (healthy, computed worker-side) or ``("quarantined", outcome)``
-        (parent-side degraded verdict).
+        Returns ``(outcome, obs)``: a healthy block's outcome with its
+        worker trace entries and metrics dump (``obs`` is None when
+        observability is off), or a quarantined block's parent-side
+        degraded verdict with ``obs`` None.
         """
         while index not in self._results:
             if not self._outstanding():
@@ -683,13 +671,10 @@ class SupervisedPool:
                 worker.attempt_builder = builder
             return
         if kind == "done":
-            _, index, record, counters, block_stats, obs = message
+            _, index, outcome, obs = message
             if self._breaker is not None:
-                self._breaker.observe_attempts(
-                    [Attempt.from_record(a)
-                     for a in record.get("attempts", [])])
-            self._results[index] = ("done", record, counters,
-                                    block_stats, obs)
+                self._breaker.observe_attempts(outcome.attempts)
+            self._results[index] = (outcome, obs)
             worker.task = None
             worker.attempt_builder = None
             return
@@ -794,7 +779,7 @@ class SupervisedPool:
                            attempts=len(failures),
                            reproducer=reproducer)
         record_quarantine(self._metrics)
-        self._results[index] = ("quarantined", outcome)
+        self._results[index] = (outcome, None)
 
     def _check_hangs(self) -> None:
         if self._task_timeout is None:

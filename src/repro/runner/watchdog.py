@@ -17,9 +17,11 @@ through two complementary mechanisms:
   :func:`run_with_watchdog` executes the block attempt on a daemon
   worker thread and abandons it at the deadline.  This catches hangs
   anywhere in the construction/heuristic/scheduling chain, including
-  ones that never touch a counter.
+  ones that never touch a counter.  An optional absolute deadline
+  (the serving daemon's request deadline) tightens it: each attempt
+  gets the smaller of the per-attempt limit and the time left.
 
-Both budgets are optional; a :class:`Budget` with neither set runs the
+All limits are optional; a :class:`Budget` with none set runs the
 attempt inline with no overhead.
 """
 
@@ -46,15 +48,21 @@ class Budget:
         max_work: construction work units per block attempt -- the sum
             of comparisons, table probes, alias checks, and bitmap
             operations (None = unlimited).
+        deadline: absolute :func:`time.monotonic` instant no attempt
+            may run past (None = none).  ``CLOCK_MONOTONIC`` is
+            system-wide, so supervised worker processes read the same
+            instant as the process that set it.
     """
 
     wall_clock: float | None = None
     max_work: int | None = None
+    deadline: float | None = None
 
     @property
     def unlimited(self) -> bool:
-        """True when neither budget is set."""
-        return self.wall_clock is None and self.max_work is None
+        """True when no limit is set."""
+        return (self.wall_clock is None and self.max_work is None
+                and self.deadline is None)
 
 
 class BudgetedStats(BuildStats):
@@ -93,25 +101,36 @@ def run_with_watchdog(fn: Callable[[], T], budget: Budget | None,
                       block: str | None = None) -> T:
     """Run ``fn`` under ``budget``'s wall-clock limit.
 
-    With no wall-clock budget, ``fn`` runs inline.  Otherwise it runs
-    on a daemon worker thread; if the deadline passes the worker is
+    The limit is ``wall_clock`` capped at the time left before
+    ``deadline``.  With neither set, ``fn`` runs inline.  Otherwise it
+    runs on a daemon worker thread; if the limit passes the worker is
     abandoned (Python threads cannot be killed) and
     :class:`~repro.errors.BlockTimeout` is raised -- the abandoned
     thread can at worst waste CPU until its next budgeted counter
     increment trips, which is why the work budget and the wall clock
-    are designed to be used together.
+    are designed to be used together.  An attempt that starts with no
+    time left raises at once, without starting a thread.
 
     Args:
         fn: zero-argument attempt (build + heuristics + schedule).
-        budget: the limits; None or no wall_clock runs inline.
+        budget: the limits; None, or neither wall_clock nor deadline,
+            runs inline.
         block: label for the timeout diagnostic.
 
     Raises:
-        BlockTimeout: when the deadline passes.
+        BlockTimeout: when the limit passes.
         Exception: whatever ``fn`` raised, re-raised on this thread.
     """
-    if budget is None or budget.wall_clock is None:
+    limit = budget.wall_clock if budget is not None else None
+    if budget is not None and budget.deadline is not None:
+        left = budget.deadline - time.monotonic()
+        limit = left if limit is None else min(limit, left)
+    if limit is None:
         return fn()
+    if limit <= 0:
+        raise BlockTimeout(
+            "wall-clock budget exceeded (no time left for the attempt)",
+            block=block, budget="wall-clock", limit=0.0, spent=0.0)
     box: dict[str, object] = {}
 
     def worker() -> None:
@@ -124,13 +143,12 @@ def run_with_watchdog(fn: Callable[[], T], budget: Budget | None,
     thread = threading.Thread(target=worker, daemon=True,
                               name=f"repro-block-{block}")
     thread.start()
-    thread.join(budget.wall_clock)
+    thread.join(limit)
     if thread.is_alive():
         raise BlockTimeout(
             f"wall-clock budget exceeded "
-            f"({time.monotonic() - start:.2f}s > "
-            f"{budget.wall_clock:.2f}s)",
-            block=block, budget="wall-clock", limit=budget.wall_clock,
+            f"({time.monotonic() - start:.2f}s > {limit:.2f}s)",
+            block=block, budget="wall-clock", limit=limit,
             spent=time.monotonic() - start)
     if "error" in box:
         raise box["error"]  # type: ignore[misc]

@@ -10,13 +10,19 @@ for *every* admitted request -- deadline expiry, client disconnect,
 and server drain all convert the unprocessed remainder into typed
 ``shed`` frames instead of losing it.
 
+Every request runs on :func:`~repro.runner.batch.run_batch`, the one
+per-block loop, in-process or on a supervised pool.  The engine adds
+what a wire request needs around it: WAL-recorded blocks re-emitted
+in program order, frames streamed as outcomes land, and stop points
+between blocks.
+
 Deadline propagation is two-level.  Between blocks the engine checks
 the remaining request budget and sheds the rest the moment it is
-spent; *within* a block the remaining budget caps the per-block
-wall-clock :class:`~repro.runner.watchdog.Budget` handed to
-:func:`~repro.runner.fallback.schedule_block_resilient`, so a single
-pathological block cannot blow through the request deadline by more
-than the watchdog's check interval.
+spent; *within* a block the request deadline rides in the
+:class:`~repro.runner.watchdog.Budget`, so every attempt's watchdog
+gets ``min(block_wall_s, time left)`` and a single pathological block
+cannot blow through the request deadline by more than the watchdog's
+check interval.
 
 Caches are warm but not shared: :class:`PairwiseCache` is a plain
 ``OrderedDict`` LRU with no locking, so the engine keeps one cache
@@ -41,12 +47,7 @@ from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry, record_deadline, record_shed_blocks
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runner.batch import record_block, run_batch
-from repro.runner.fallback import (
-    DEFAULT_CHAIN,
-    BlockOutcome,
-    resolve_chain,
-    schedule_block_resilient,
-)
+from repro.runner.fallback import BlockOutcome
 from repro.runner.watchdog import Budget
 from repro.serve import protocol
 from repro.serve.protocol import (
@@ -225,35 +226,36 @@ def run_request(request: ScheduleRequest,
         emit: thread-safe frame sink (the server bridges it onto the
             asyncio loop).
         chain_names: builder fallback chain (request override wins).
-        block_wall_s: per-block wall-clock cap, further tightened to
-            the request's remaining deadline each block.
+        block_wall_s: per-attempt wall-clock cap, further tightened to
+            the time left before the request's deadline.
         max_work: per-attempt construction-work budget.
         cache: dependence cache override; default is this thread's
-            warm per-machine cache.
+            warm per-machine cache.  With ``jobs >= 2`` each pool
+            worker builds its own instead.
         metrics: optional registry: per-block structure, outcome and
-            builder counters (the same stable set on both paths, WAL
-            replays included) plus shed/deadline counters.
+            builder counters (the same stable set at every ``jobs``
+            value, WAL replays included) plus shed/deadline counters.
         breaker: optional shared per-builder circuit breaker.
         cancelled: polled between blocks; returning a shed reason
             (e.g. ``"disconnect"``, ``"drain"``) sheds the remainder.
-        clock: injectable monotonic clock for deterministic deadline
-            tests.
-        jobs: ``>= 2`` runs the request on the supervised worker pool
-            (crash isolation, retry, quarantine) via
-            :func:`~repro.runner.batch.run_batch`; ``1`` runs the
-            serial in-process loop.  A pool is built per request --
-            heavyweight, so the serial path is the default and the
-            pooled path is for big requests and the chaos harness.
+        clock: injectable monotonic clock for the between-block
+            deadline checks (the watchdog always reads
+            :func:`time.monotonic`).
+        jobs: worker processes for
+            :func:`~repro.runner.batch.run_batch`; ``>= 2`` runs the
+            request on a supervised pool (crash isolation, retry,
+            quarantine) built per request -- heavyweight, so ``1`` is
+            the default and the pool is for big requests and the
+            chaos harness.
         chaos / retry / task_timeout / quarantine_dir / mem_limit_mb:
-            forwarded to :func:`~repro.runner.batch.run_batch` on the
-            pooled path (fault injection, retry policy, hang
-            detector, reproducer directory, worker memory ceiling).
+            forwarded to :func:`~repro.runner.batch.run_batch` for the
+            pool (fault injection, retry policy, hang detector,
+            reproducer directory, worker memory ceiling).
         completed: already-recorded block records by block index (WAL
             replay after a daemon crash) -- those blocks are re-emitted
-            verbatim instead of recomputed (exactly-once results) and
-            counted in the summary's ``replayed``.  A non-empty map
-            forces the serial path so replay interleaves with fresh
-            work in program order.
+            verbatim in program order instead of recomputed
+            (exactly-once results) and counted in the summary's
+            ``replayed``; only the missing blocks run.
         tracer: optional tracer; the request runs inside one
             ``request`` span carrying the wire ``id`` and client
             ``trace`` id, with the builder/attempt spans nested under
@@ -263,14 +265,17 @@ def run_request(request: ScheduleRequest,
         The summary dict for the ``done`` frame, satisfying
         ``scheduled + degraded + quarantined + shed == n_blocks``.
     """
-    names = request.chain or chain_names or DEFAULT_CHAIN
     if cache is None:
         cache = warm_cache(request.machine)
-    chain = resolve_chain(names, machine, cache=cache)
     tracer = tracer if tracer is not None else NULL_TRACER
     t0 = clock()
     deadline = (t0 + request.deadline_s
                 if request.deadline_s is not None else None)
+    # The watchdog reads the real monotonic clock; ``clock`` only
+    # drives the between-block checks.
+    budget = Budget(wall_clock=block_wall_s, max_work=max_work,
+                    deadline=(time.monotonic() + request.deadline_s
+                              if request.deadline_s is not None else None))
 
     n_scheduled = n_degraded = n_quarantined = n_done = 0
     n_replayed = 0
@@ -278,21 +283,6 @@ def run_request(request: ScheduleRequest,
     shed_reasons: dict[str, int] = {}
     shed_from: int | None = None
     completed = completed or {}
-
-    def remaining() -> float | None:
-        if deadline is None:
-            return None
-        return deadline - clock()
-
-    def check_stop() -> str | None:
-        if cancelled is not None:
-            reason = cancelled()
-            if reason:
-                return reason
-        left = remaining()
-        if left is not None and left <= 0:
-            return SHED_DEADLINE
-        return None
 
     def account(outcome) -> None:
         nonlocal n_scheduled, n_degraded, n_quarantined, n_done
@@ -312,90 +302,65 @@ def run_request(request: ScheduleRequest,
         emit(protocol.block_frame(request.id, record,
                                   trace=request.trace))
 
-    def shed_rest(reason: str) -> None:
-        nonlocal shed_from
-        shed_from = n_done
-        count = len(blocks) - n_done
-        shed_reasons[reason] = shed_reasons.get(reason, 0) + count
-        for late in blocks[n_done:]:
-            emit(protocol.shed_frame(request.id, late.index, reason,
-                                     trace=request.trace))
-        if metrics is not None:
-            record_shed_blocks(metrics, count, reason)
+    def stop_point() -> None:
+        """Re-emit the recorded blocks up to the next fresh one, then
+        stop there if the request is cancelled or out of time."""
+        nonlocal n_replayed, n_done
+        while n_done < len(blocks) and blocks[n_done].index in completed:
+            block = blocks[n_done]
+            recorded = completed[block.index]
+            # WAL replay: the result already crossed a socket once;
+            # re-emit it verbatim rather than recompute (dedup).
+            n_replayed += 1
+            if recorded.get("type") == "shed":
+                why = str(recorded.get("reason", "replay"))
+                shed_reasons[why] = shed_reasons.get(why, 0) + 1
+                n_done += 1
+                emit(protocol.shed_frame(request.id, block.index, why,
+                                         trace=request.trace))
+            else:
+                outcome = BlockOutcome.from_record(recorded)
+                record_block(metrics, block, outcome, replayed=True)
+                account(outcome)
+        reason = cancelled() if cancelled is not None else None
+        if not reason and deadline is not None and clock() >= deadline:
+            reason = SHED_DEADLINE
+        if reason and n_done < len(blocks):
+            raise RequestCancelled(reason)
+
+    def on_block(outcome) -> None:
+        account(outcome)
+        stop_point()
 
     with tracer.span("request", id=request.id,
                      trace=request.trace or "",
                      tenant=request.tenant,
                      n_blocks=len(blocks)) as span_attrs:
-        if jobs >= 2 and not completed:
-            # Pooled path: a per-request supervised pool.  run_batch
-            # consumes outcomes in program order, so a stop raised from
-            # ``on_block`` sheds exactly the untouched suffix; the pool
-            # is torn down by run_batch's own cleanup.
-            def on_block(outcome) -> None:
-                account(outcome)
-                reason = check_stop()
-                if reason is not None:
-                    raise RequestCancelled(reason)
-
-            wall = block_wall_s
-            left = remaining()
-            if left is not None:
-                wall = left if wall is None else min(wall, left)
-            try:
-                run_batch(blocks, machine, chain=names,
-                          budget=Budget(wall_clock=wall,
-                                        max_work=max_work),
-                          verify=request.verify, jobs=jobs,
-                          metrics=metrics, on_block=on_block,
-                          tracer=tracer, breaker=breaker,
-                          chaos=chaos, retry=retry,
-                          task_timeout=task_timeout,
-                          quarantine_dir=quarantine_dir,
-                          mem_limit_mb=mem_limit_mb)
-            except RequestCancelled as exc:
-                if n_done < len(blocks):
-                    shed_rest(exc.reason)
-            else:
-                reason = check_stop()
-                if reason is not None and n_done < len(blocks):
-                    shed_rest(reason)
-        else:
-            for block in blocks:
-                recorded = completed.get(block.index)
-                if recorded is not None:
-                    # WAL replay: the result already crossed a socket
-                    # once; re-emit it verbatim rather than recompute
-                    # (dedup).
-                    n_replayed += 1
-                    if recorded.get("type") == "shed":
-                        why = str(recorded.get("reason", "replay"))
-                        shed_reasons[why] = shed_reasons.get(why, 0) + 1
-                        n_done += 1
-                        emit(protocol.shed_frame(
-                            request.id, block.index, why,
-                            trace=request.trace))
-                    else:
-                        outcome = BlockOutcome.from_record(recorded)
-                        record_block(metrics, block, outcome,
-                                     replayed=True)
-                        account(outcome)
-                    continue
-                reason = check_stop()
-                if reason is not None:
-                    shed_rest(reason)
-                    break
-                wall = block_wall_s
-                left = remaining()
-                if left is not None:
-                    wall = left if wall is None else min(wall, left)
-                outcome = schedule_block_resilient(
-                    block, machine, chain,
-                    budget=Budget(wall_clock=wall, max_work=max_work),
-                    verify=request.verify, cache=cache,
-                    metrics=metrics, breaker=breaker, tracer=tracer)
-                record_block(metrics, block, outcome)
-                account(outcome)
+        try:
+            # run_batch consumes outcomes in program order, so a stop
+            # raised from ``on_block`` sheds exactly the untouched
+            # suffix; a pool is torn down by run_batch's own cleanup.
+            stop_point()
+            run_batch([b for b in blocks if b.index not in completed],
+                      machine,
+                      chain=request.chain or chain_names,
+                      budget=budget, verify=request.verify, jobs=jobs,
+                      cache=cache, metrics=metrics, on_block=on_block,
+                      tracer=tracer, breaker=breaker, chaos=chaos,
+                      retry=retry, task_timeout=task_timeout,
+                      quarantine_dir=quarantine_dir,
+                      mem_limit_mb=mem_limit_mb)
+        except RequestCancelled as exc:
+            shed_from = n_done
+            count = len(blocks) - n_done
+            shed_reasons[exc.reason] = (shed_reasons.get(exc.reason, 0)
+                                        + count)
+            for late in blocks[n_done:]:
+                emit(protocol.shed_frame(request.id, late.index,
+                                         exc.reason,
+                                         trace=request.trace))
+            if metrics is not None:
+                record_shed_blocks(metrics, count, exc.reason)
         span_attrs["scheduled"] = n_scheduled
         span_attrs["shed"] = sum(shed_reasons.values())
 

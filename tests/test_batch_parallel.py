@@ -6,24 +6,17 @@ import pytest
 
 from repro.asm import parse_asm
 from repro.cfg import apply_window, partition_blocks
-from repro.dag.builders import CompareAllBuilder, PairwiseCache
+from repro.dag.builders import CompareAllBuilder
 from repro.errors import ReproError
 from repro.runner import (
     Attempt,
     Budget,
-    DEFAULT_CHAIN,
-    RunJournal,
     resolve_chain,
     run_batch,
-    run_fingerprint,
     schedule_block_resilient,
 )
 from repro.runner.bench import bench_blocks, run_bench, write_bench
 from repro.workloads import KERNELS, kernel_source
-
-COUNTERS = ("comparisons", "table_probes", "alias_checks",
-            "arcs_added", "arcs_merged", "arcs_suppressed",
-            "bitmap_ops")
 
 
 @pytest.fixture
@@ -33,69 +26,9 @@ def blocks():
     return apply_window(partition_blocks(program), 16)
 
 
-def records(result):
-    return [json.dumps(o.to_record(), sort_keys=True)
-            for o in result.outcomes]
-
-
 class TestParallelBatch:
-    def test_jobs_matches_serial(self, machine, blocks):
-        serial = run_batch(blocks, machine, verify=True)
-        parallel = run_batch(blocks, machine, verify=True, jobs=2)
-        assert records(serial) == records(parallel)
-        for c in COUNTERS:
-            assert getattr(serial.build_stats, c) \
-                == getattr(parallel.build_stats, c)
-        assert serial.dag_stats.as_row() == parallel.dag_stats.as_row()
-        assert serial.n_blocks == parallel.n_blocks
-        assert serial.total_makespan == parallel.total_makespan
-
-    def test_jobs_with_cache_matches_serial(self, machine, blocks):
-        serial = run_batch(blocks, machine, verify=True)
-        parallel = run_batch(blocks, machine, verify=True, jobs=2,
-                             cache=PairwiseCache())
-        assert records(serial) == records(parallel)
-
-    def test_jobs_journal_identical_modulo_wall_clock(
-            self, machine, blocks, tmp_path):
-        # Journal lines are byte-identical between serial and parallel
-        # runs except for the volatile per-block wall_s field, which is
-        # host/load-dependent by nature (but must be present in both).
-        fp = run_fingerprint("src", "generic", list(DEFAULT_CHAIN))
-        serial_path = tmp_path / "serial.jsonl"
-        parallel_path = tmp_path / "parallel.jsonl"
-        with RunJournal.open_fresh(str(serial_path), fp) as journal:
-            run_batch(blocks, machine, verify=True, journal=journal)
-        with RunJournal.open_fresh(str(parallel_path), fp) as journal:
-            run_batch(blocks, machine, verify=True, journal=journal,
-                      jobs=2)
-
-        def canonical(path):
-            from repro.runner.journal import parse_record_line
-            out = []
-            for line in path.read_text().splitlines():
-                record, kind, _ = parse_record_line(line)
-                assert kind is None, kind
-                if record.get("type") == "block":
-                    assert isinstance(record.pop("wall_s"), float)
-                out.append(json.dumps(record, sort_keys=True))
-            return out
-
-        assert canonical(serial_path) == canonical(parallel_path)
-
-    def test_jobs_resume_replays_and_matches(self, machine, blocks,
-                                             tmp_path):
-        fp = run_fingerprint("src", "generic", list(DEFAULT_CHAIN))
-        path = tmp_path / "resume.jsonl"
-        with RunJournal.open_fresh(str(path), fp) as journal:
-            run_batch(blocks[:1], machine, verify=True, journal=journal)
-        with RunJournal.open_resume(str(path), fp) as journal:
-            resumed = run_batch(blocks, machine, verify=True,
-                                journal=journal, jobs=2)
-        assert resumed.n_replayed == 1
-        reference = run_batch(blocks, machine, verify=True)
-        assert records(resumed) == records(reference)
-
+    # Identity with a serial run (records, aggregates, journal lines,
+    # resume) is asserted by tests/test_equivalence.py.
     def test_jobs_rejects_custom_priority(self, machine, blocks):
         with pytest.raises(ReproError, match="jobs"):
             run_batch(blocks, machine, jobs=2,

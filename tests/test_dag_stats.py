@@ -43,8 +43,9 @@ class TestBlockStats:
 class TestProgramStats:
     def test_accumulation(self):
         agg = ProgramDagStats()
-        agg.add_dag(dag_for("mov 1, %o0\nadd %o0, 1, %o1"))
-        agg.add_dag(dag_for("mov 1, %o0\nadd %o0, 1, %o1\nadd %o0, %o1, %o2"))
+        agg.add(dag_stats(dag_for("mov 1, %o0\nadd %o0, 1, %o1")))
+        agg.add(dag_stats(
+            dag_for("mov 1, %o0\nadd %o0, 1, %o1\nadd %o0, %o1, %o2")))
         assert agg.n_blocks == 2
         assert agg.n_instructions == 5
         assert agg.total_arcs == 4
@@ -53,14 +54,15 @@ class TestProgramStats:
 
     def test_averages(self):
         agg = ProgramDagStats()
-        agg.add_dag(dag_for("mov 1, %o0\nadd %o0, 1, %o1"))
-        agg.add_dag(dag_for("mov 1, %o0\nadd %o0, 1, %o1\nadd %o0, %o1, %o2"))
+        agg.add(dag_stats(dag_for("mov 1, %o0\nadd %o0, 1, %o1")))
+        agg.add(dag_stats(
+            dag_for("mov 1, %o0\nadd %o0, 1, %o1\nadd %o0, %o1, %o2")))
         assert agg.avg_children == 4 / 5
         assert agg.avg_arcs_per_block == 2.0
 
     def test_as_row(self):
         agg = ProgramDagStats()
-        agg.add_dag(dag_for("mov 1, %o0\nadd %o0, 1, %o1"))
+        agg.add(dag_stats(dag_for("mov 1, %o0\nadd %o0, 1, %o1")))
         row = agg.as_row()
         assert set(row) == {"children_max", "children_avg", "arcs_max",
                             "arcs_avg"}

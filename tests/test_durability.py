@@ -522,6 +522,14 @@ class TestServerWal:
         assert types.count("block-done") == 2
 
     def test_restart_completes_unfinished_request(self, tmp_path):
+        self.assert_restart_completes(tmp_path, jobs=1)
+
+    def test_restart_completes_unfinished_request_on_pool(self, tmp_path):
+        # A recovered request's missing blocks run on the supervised
+        # pool like any other request's.
+        self.assert_restart_completes(tmp_path, jobs=2)
+
+    def assert_restart_completes(self, tmp_path, jobs):
         # Hand-craft the aftermath of a crash: accepted + one block
         # recorded, no finished record.  The next daemon generation
         # must finish the request -- re-emitting the recorded block
@@ -536,7 +544,8 @@ class TestServerWal:
                              "quarantined": False, "attempts": [],
                              "order": [0]})
         wal.close()
-        background = BackgroundServer(_wal_config(tmp_path)).start()
+        background = BackgroundServer(
+            _wal_config(tmp_path, jobs=jobs)).start()
         try:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:

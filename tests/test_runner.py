@@ -1,7 +1,9 @@
 """Tests for the resilient batch runner (repro.runner)."""
 
 import json
+import threading
 import time
+import types
 
 import pytest
 
@@ -87,6 +89,49 @@ class TestWatchdog:
         with pytest.raises(BlockTimeout) as info:
             run_with_watchdog(lambda: time.sleep(60), budget, block="b0")
         assert info.value.budget == "wall-clock"
+
+    def test_deadline_tighter_than_wall_clock_trips_at_deadline(self):
+        release = threading.Event()
+        budget = Budget(wall_clock=30.0, deadline=time.monotonic() + 0.2)
+        start = time.monotonic()
+        try:
+            with pytest.raises(BlockTimeout) as info:
+                run_with_watchdog(lambda: release.wait(30.0), budget,
+                                  block="b0")
+        finally:
+            release.set()
+        assert time.monotonic() - start < 5.0
+        assert info.value.budget == "wall-clock"
+        assert info.value.limit <= 0.2
+
+    def test_deadline_already_past_starts_no_thread(self, monkeypatch,
+                                                     machine, blocks):
+        import repro.runner.watchdog as watchdog_mod
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a watchdog thread was started")
+
+        monkeypatch.setattr(watchdog_mod, "threading",
+                            types.SimpleNamespace(Thread=no_thread))
+        budget = Budget(wall_clock=30.0, deadline=time.monotonic() - 1.0)
+        called = []
+        with pytest.raises(BlockTimeout) as info:
+            run_with_watchdog(lambda: called.append(1), budget, block="b0")
+        assert not called
+        assert info.value.budget == "wall-clock"
+        # Each chain entry times out at once: a late block degrades
+        # without leaving an abandoned thread per entry.
+        outcome = schedule_block_resilient(
+            blocks[0], machine, resolve_chain(DEFAULT_CHAIN, machine),
+            budget=budget)
+        assert [(a.builder, a.stage) for a in outcome.attempts] == [
+            (name, "timeout") for name in DEFAULT_CHAIN] + [
+            ("original-order", "ok")]
+
+    def test_deadline_only_budget_is_not_unlimited(self):
+        budget = Budget(deadline=time.monotonic() + 60.0)
+        assert not budget.unlimited
+        assert run_with_watchdog(lambda: 42, budget) == 42
 
     def test_wall_clock_propagates_result_and_errors(self):
         budget = Budget(wall_clock=5.0)

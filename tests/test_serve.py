@@ -244,33 +244,53 @@ class TestEngineDeadlines:
             if frame["type"] == "shed":
                 assert frame["reason"] == "deadline"
 
-    def test_deadline_caps_per_block_wall_budget(self):
-        # With 0.4s left on the deadline and a 30s per-block cap, the
-        # block must run under a <= 0.4s watchdog: propagation means
-        # the *tighter* limit wins.
+    def test_deadline_caps_per_block_wall_budget(self, monkeypatch):
+        # The request deadline rides in every block's Budget beside the
+        # 30s per-attempt cap; the watchdog gives each attempt the
+        # tighter of the two (TestWatchdog in test_runner.py).
+        import repro.runner.batch as batch_mod
         seen = {}
-        import repro.serve.engine as engine_mod
-        real = engine_mod.schedule_block_resilient
+        real = batch_mod.schedule_block_resilient
 
         def spy(block, machine, chain, budget=None, **kwargs):
-            seen[block.index] = budget.wall_clock
+            seen[block.index] = budget
             return real(block, machine, chain, budget=budget, **kwargs)
 
-        clock = FakeClock(step=0.2)
+        monkeypatch.setattr(batch_mod, "schedule_block_resilient", spy)
         request = _workload_request(copies=2, deadline_s=10.0)
-        machine = generic_risc()
         blocks = request_blocks(request)
-        try:
-            engine_mod.schedule_block_resilient = spy
-            run_request(request, machine, blocks, lambda f: None,
-                        clock=clock, block_wall_s=30.0)
-        finally:
-            engine_mod.schedule_block_resilient = real
-        assert seen
-        assert all(wall <= 10.0 for wall in seen.values())
-        # Budgets shrink as the deadline burns down.
-        walls = [seen[b.index] for b in blocks if b.index in seen]
-        assert walls == sorted(walls, reverse=True)
+        before = time.monotonic()
+        run_request(request, generic_risc(), blocks, lambda f: None,
+                    clock=FakeClock(step=0.2), block_wall_s=30.0)
+        after = time.monotonic()
+        assert sorted(seen) == [b.index for b in blocks]
+        for budget in seen.values():
+            assert budget.wall_clock == 30.0
+            assert before + 10.0 <= budget.deadline <= after + 10.0
+
+    def test_deadline_rides_in_the_pool_budget(self, monkeypatch):
+        # At jobs >= 2 the same Budget goes to the supervised pool, so
+        # a block dispatched late still stops at the request deadline.
+        import repro.runner.batch as batch_mod
+        seen = []
+        real = batch_mod.SupervisedPool
+
+        def spy(blocks, machine, chain_names, budget, *args, **kwargs):
+            seen.append(budget)
+            return real(blocks, machine, chain_names, budget, *args,
+                        **kwargs)
+
+        monkeypatch.setattr(batch_mod, "SupervisedPool", spy)
+        request = _workload_request(copies=2, deadline_s=10.0)
+        before = time.monotonic()
+        summary = run_request(request, generic_risc(),
+                              request_blocks(request), lambda f: None,
+                              block_wall_s=30.0, jobs=2)
+        after = time.monotonic()
+        assert summary["scheduled"] == 2
+        [budget] = seen
+        assert budget.wall_clock == 30.0
+        assert before + 10.0 <= budget.deadline <= after + 10.0
 
     def test_cancellation_sheds_with_the_given_reason(self):
         state = {"calls": 0}

@@ -130,18 +130,29 @@ class TestEngineTrace:
             assert frame["trace"] == "quarantine-t"
             assert frame["block"]["trace"] == "quarantine-t"
 
-    def test_request_span_carries_trace(self):
+    def assert_request_span(self, jobs):
+        # Every request runs on run_batch, so its span tree nests
+        # request -> batch -> block at every jobs value.
         tracer = Tracer()
         request = ScheduleRequest.from_message(
             _message(rid="span-r", trace="span-t"))
-        self.run(request, tracer=tracer)
+        self.run(request, tracer=tracer, jobs=jobs)
         tree = span_tree(tracer.entries)
         roots = [node for node in tree if node["name"] == "request"]
         assert len(roots) == 1
         assert roots[0]["attrs"]["trace"] == "span-t"
         assert roots[0]["attrs"]["id"] == "span-r"
-        assert any(child["name"] == "block"
-                   for child in roots[0]["children"])
+        assert [child["name"] for child in roots[0]["children"]] \
+            == ["batch"]
+        batch = roots[0]["children"][0]
+        assert [child["name"] for child in batch["children"]] \
+            == ["block"] * 4
+
+    def test_request_span_carries_trace(self):
+        self.assert_request_span(jobs=1)
+
+    def test_request_span_carries_trace_on_pool(self):
+        self.assert_request_span(jobs=2)
 
 
 class TestDaemonTrace:
