@@ -83,7 +83,7 @@ from repro.obs import (
     write_metrics,
     write_trace,
 )
-from repro.obs.metrics import record_cache
+from repro.obs.metrics import read_cache_size, record_cache
 from repro.pipeline import SECTION6_PRIORITY, schedule_attempt
 from repro.runner import (
     BUILDER_CLASSES,
@@ -253,6 +253,8 @@ def _schedule_resilient(args: argparse.Namespace, source: str, machine,
 
     jobs = getattr(args, "jobs", 1) or 1
     cache = None if getattr(args, "no_cache", False) else PairwiseCache()
+    if cache is not None:
+        read_cache_size(metrics, cache.info)
     retry = None
     if getattr(args, "retries", None) is not None:
         retry = RetryPolicy(max_retries=args.retries)
@@ -1176,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "telemetry endpoint (GET /metrics in "
                             "Prometheus text exposition format, "
                             "GET /healthz) at HOST:PORT or PORT; "
-                            "implies a live metrics registry")
+                            "records per-block metrics too")
     serve.add_argument("--no-overload", action="store_true",
                        help="disable the adaptive overload ladder "
                             "(pressure sentinel + degradation "

@@ -212,9 +212,10 @@ class PairwiseCache:
 
     def info(self) -> dict[str, int]:
         """Hit/miss/occupancy counters for reports and benchmarks."""
+        # one-step copy: other threads call this while lookups reorder
+        entries = list(self._entries.values())
         return {"hits": self.hits, "misses": self.misses,
                 "bundle_hits": self.bundle_hits,
-                "entries": len(self._entries),
+                "entries": len(entries),
                 "max_entries": self.max_entries,
-                "recipes": sum(len(e.recipes)
-                               for e in self._entries.values())}
+                "recipes": sum(len(e.recipes) for e in entries)}

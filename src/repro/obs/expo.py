@@ -15,7 +15,8 @@ Two halves of the live telemetry plane:
   counts, so a scrape answers "what happened in the last minute"
   (sliding-window p50/p99 and rates) instead of only since-boot
   totals.  Expired buckets are recycled lazily on write/read; no
-  background thread.
+  background thread.  :meth:`RollingWindow.register` exposes it as
+  ``repro_window_*`` gauges a registry reads at snapshot time.
 
 :func:`parse_exposition` is the matching reader -- the telemetry
 smoke tests and CI scrape the endpoint and assert the text parses
@@ -28,7 +29,7 @@ import threading
 import time
 from typing import Callable, Mapping, Sequence
 
-from repro.obs.metrics import REQUEST_SECONDS_BUCKETS
+from repro.obs.metrics import REQUEST_SECONDS_BUCKETS, MetricsRegistry
 
 #: exposition format version (the Prometheus text format identifier)
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -91,14 +92,17 @@ def _format_value(value: object) -> str:
 
 
 def _metric_lines(name: str, metric: dict) -> list[str]:
-    """The exposition lines for one snapshot metric entry."""
+    """The exposition lines for one snapshot metric entry (none for a
+    metric without samples, such as a read that returned None)."""
+    values = metric.get("values", {})
+    if not values:
+        return []
     kind = metric["kind"]
     label_names = metric.get("labels", [])
     lines = []
     if metric.get("help"):
         lines.append(f"# HELP {name} {_escape_help(metric['help'])}")
     lines.append(f"# TYPE {name} {kind}")
-    values = metric.get("values", {})
     for key in sorted(values):
         labels = _parse_label_key(key, label_names)
         if kind == "histogram":
@@ -264,9 +268,26 @@ class RollingWindow:
 
     # -- readers --------------------------------------------------------------
 
-    def _live(self, now: float) -> list[dict]:
-        floor = int(now // self.bucket_s) - self.n_buckets + 1
-        return [b for b in self._buckets if b["epoch"] >= floor]
+    def _sum_live(self, n_buckets: int) -> dict:
+        """The newest ``n_buckets`` buckets folded into one (call with
+        the lock held)."""
+        floor = int(self._clock() // self.bucket_s) - n_buckets + 1
+        total = self._fresh(floor)
+        for b in self._buckets:
+            if b["epoch"] < floor:
+                continue
+            total["count"] += b["count"]
+            total["sum"] += b["sum"]
+            total["bins"] = [x + y for x, y in zip(total["bins"],
+                                                   b["bins"])]
+            for status, n in b["statuses"].items():
+                total["statuses"][status] = \
+                    total["statuses"].get(status, 0) + n
+            total["rejections"] += b["rejections"]
+            total["shed"] += b["shed"]
+            total["queue_depth_max"] = max(total["queue_depth_max"],
+                                           b["queue_depth_max"])
+        return total
 
     def _quantile(self, bins: Sequence[int], count: int,
                   q: float) -> float | None:
@@ -284,13 +305,11 @@ class RollingWindow:
     def completion_rate_rps(self) -> float:
         """Request terminations per second over the live window.
 
-        A cheap accessor (no latency-histogram aggregation) for hot
-        callers: the admission controller derives honest
-        ``retry_after_s`` hints from it on every queue-full or
-        overload rejection.
+        The admission controller derives honest ``retry_after_s``
+        hints from it on every queue-full or overload rejection.
         """
         with self._lock:
-            count = sum(b["count"] for b in self._live(self._clock()))
+            count = self._sum_live(self.n_buckets)["count"]
         return count / self.window_s
 
     def recent(self, horizon_s: float | None = None) -> dict:
@@ -303,100 +322,76 @@ class RollingWindow:
         ``horizon_s`` (default: three buckets, 15s at the default
         geometry) -- p99 and queue depth over the recent past.
         """
+        if horizon_s is None:
+            horizon_s = 3 * self.bucket_s
+        n = max(1, min(self.n_buckets,
+                       int(round(horizon_s / self.bucket_s))))
         with self._lock:
-            now = self._clock()
-            if horizon_s is None:
-                horizon_s = 3 * self.bucket_s
-            n = max(1, min(self.n_buckets,
-                           int(round(horizon_s / self.bucket_s))))
-            floor = int(now // self.bucket_s) - n + 1
-            live = [b for b in self._buckets if b["epoch"] >= floor]
-            count = sum(b["count"] for b in live)
-            bins = [0] * (len(self.latency_bounds) + 1)
-            for b in live:
-                for i, v in enumerate(b["bins"]):
-                    bins[i] += v
-            depth = max((b["queue_depth_max"] for b in live),
-                        default=0)
+            live = self._sum_live(n)
         return {
             "horizon_s": n * self.bucket_s,
-            "requests": count,
-            "queue_depth_max": depth,
-            "p99_s": self._quantile(bins, count, 0.99),
+            "requests": live["count"],
+            "queue_depth_max": live["queue_depth_max"],
+            "p99_s": self._quantile(live["bins"], live["count"], 0.99),
         }
 
     def snapshot(self) -> dict:
         """Aggregate the live window into one summary dict."""
         with self._lock:
-            live = self._live(self._clock())
-            count = sum(b["count"] for b in live)
-            total = sum(b["sum"] for b in live)
-            bins = [0] * (len(self.latency_bounds) + 1)
-            statuses: dict[str, int] = {}
-            for b in live:
-                for i, n in enumerate(b["bins"]):
-                    bins[i] += n
-                for status, n in b["statuses"].items():
-                    statuses[status] = statuses.get(status, 0) + n
-            rejections = sum(b["rejections"] for b in live)
-            shed = sum(b["shed"] for b in live)
-            depth = max((b["queue_depth_max"] for b in live),
-                        default=0)
-        ok = statuses.get("ok", 0)
+            live = self._sum_live(self.n_buckets)
+        count = live["count"]
+        ok = live["statuses"].get("ok", 0)
         return {
             "window_s": self.window_s,
             "requests": count,
             "ok": ok,
             "errors": count - ok,
-            "rejections": rejections,
-            "shed_blocks": shed,
-            "queue_depth_max": depth,
-            "latency_sum_s": round(total, 6),
+            "rejections": live["rejections"],
+            "shed_blocks": live["shed"],
+            "queue_depth_max": live["queue_depth_max"],
+            "latency_sum_s": round(live["sum"], 6),
             "request_rate_rps": round(count / self.window_s, 4),
-            "reject_rate_rps": round(rejections / self.window_s, 4),
-            "shed_rate_bps": round(shed / self.window_s, 4),
-            "p50_s": self._quantile(bins, count, 0.50),
-            "p99_s": self._quantile(bins, count, 0.99),
-            "statuses": dict(sorted(statuses.items())),
+            "reject_rate_rps": round(live["rejections"] / self.window_s,
+                                     4),
+            "shed_rate_bps": round(live["shed"] / self.window_s, 4),
+            "p50_s": self._quantile(live["bins"], count, 0.50),
+            "p99_s": self._quantile(live["bins"], count, 0.99),
+            "statuses": dict(sorted(live["statuses"].items())),
         }
 
-    def exposition(self) -> str:
-        """The window aggregates as ``repro_window_*`` gauge series."""
-        snap = self.snapshot()
-        gauges = (
-            ("repro_window_seconds",
-             "Width of the sliding telemetry window.",
-             snap["window_s"]),
-            ("repro_window_requests",
-             "Requests terminated inside the window.",
-             snap["requests"]),
-            ("repro_window_errors",
-             "Non-ok request terminations inside the window.",
-             snap["errors"]),
-            ("repro_window_rejections",
-             "Typed admission rejections inside the window.",
-             snap["rejections"]),
-            ("repro_window_shed_blocks",
-             "Blocks shed inside the window.",
-             snap["shed_blocks"]),
-            ("repro_window_queue_depth_max",
-             "Deepest admission occupancy observed in the window.",
-             snap["queue_depth_max"]),
-            ("repro_window_request_rate_rps",
-             "Request terminations per second over the window.",
-             snap["request_rate_rps"]),
-            ("repro_window_request_p50_seconds",
-             "Sliding-window median request latency (bucket upper "
-             "bound).", snap["p50_s"]),
-            ("repro_window_request_p99_seconds",
-             "Sliding-window p99 request latency (bucket upper "
-             "bound).", snap["p99_s"]),
-        )
-        lines = []
-        for name, help_text, value in gauges:
-            if value is None:
-                continue
-            lines.append(f"# HELP {name} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_format_value(value)}")
-        return "\n".join(lines) + "\n" if lines else ""
+    #: the ``repro_window_*`` gauges: name, help, :meth:`snapshot` key
+    GAUGES = (
+        ("repro_window_seconds",
+         "Width of the sliding telemetry window.", "window_s"),
+        ("repro_window_requests",
+         "Requests terminated inside the window.", "requests"),
+        ("repro_window_errors",
+         "Non-ok request terminations inside the window.", "errors"),
+        ("repro_window_rejections",
+         "Typed admission rejections inside the window.",
+         "rejections"),
+        ("repro_window_shed_blocks",
+         "Blocks shed inside the window.", "shed_blocks"),
+        ("repro_window_queue_depth_max",
+         "Deepest admission occupancy observed in the window.",
+         "queue_depth_max"),
+        ("repro_window_request_rate_rps",
+         "Request terminations per second over the window.",
+         "request_rate_rps"),
+        ("repro_window_request_p50_seconds",
+         "Sliding-window median request latency (bucket upper "
+         "bound).", "p50_s"),
+        ("repro_window_request_p99_seconds",
+         "Sliding-window p99 request latency (bucket upper bound).",
+         "p99_s"),
+    )
+
+    def register(self, metrics: MetricsRegistry) -> None:
+        """Expose the window as ``repro_window_*`` read gauges.
+
+        ``metrics`` reads them at every snapshot; the quantiles have no
+        sample while the window is empty.
+        """
+        for name, help_text, key in self.GAUGES:
+            metrics.gauge(name, help_text,
+                          read=lambda key=key: self.snapshot()[key])

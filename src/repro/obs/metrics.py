@@ -28,8 +28,8 @@ histogram bins add, gauges combine by their declared aggregation), so
 the merged totals equal a serial run's.
 
 The bottom of the module is the repro metric catalog: ``record_*``
-helpers the instrumented layers call, so every metric name, help
-string, and label set is defined in exactly one place (and
+helpers the instrumented layers call, so every recorded metric's name,
+help string, and label set is defined in exactly one place (and
 ``docs/observability.md`` documents each one against the paper table
 it reproduces).
 """
@@ -37,7 +37,8 @@ it reproduces).
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+import threading
+from typing import Callable, Mapping, Sequence
 
 #: schema version of the written metrics snapshot document
 METRICS_SCHEMA_VERSION = 1
@@ -65,21 +66,39 @@ class Metric:
         labels: label names every update must supply.
         volatile: True for configuration-sensitive quantities
             (excluded from the stable snapshot section).
+        read: makes a counter or gauge read at snapshot time: returns
+            the value (None = no sample) or, when labelled,
+            ``{label-value tuple: value}``.  Live state is never
+            program-determined, so a read metric is volatile.
     """
 
     kind = "abstract"
 
     def __init__(self, name: str, help: str,
                  labels: Sequence[str] = (),
-                 volatile: bool = False) -> None:
+                 volatile: bool = False,
+                 read: Callable[[], object] | None = None) -> None:
         self.name = name
         self.help = help
         self.label_names = tuple(labels)
-        self.volatile = volatile
+        self.volatile = volatile or read is not None
+        self.read = read
         self.values: dict[str, object] = {}
+        #: replaced by the owning registry's lock on registration
+        self.lock = threading.RLock()
 
     def _snapshot_values(self) -> dict:
-        return {key: self.values[key] for key in sorted(self.values)}
+        if self.read is None:
+            values = self.values
+        elif not self.label_names:
+            value = self.read()
+            values = {} if value is None else {"": value}
+        else:
+            values = {
+                _label_key(self.label_names,
+                           dict(zip(self.label_names, label_values))): n
+                for label_values, n in self.read().items()}
+        return {key: values[key] for key in sorted(values)}
 
     def snapshot(self) -> dict:
         """JSON-ready form: kind, help, labels, sorted values."""
@@ -100,7 +119,8 @@ class Counter(Metric):
     def inc(self, amount: int | float = 1, **labels: object) -> None:
         """Add ``amount`` to the labelled series."""
         key = _label_key(self.label_names, labels)
-        self.values[key] = self.values.get(key, 0) + amount
+        with self.lock:
+            self.values[key] = self.values.get(key, 0) + amount
 
     def merge_values(self, values: dict) -> None:
         for key, value in values.items():
@@ -131,7 +151,8 @@ class Gauge(Metric):
 
     def __init__(self, name: str, help: str,
                  labels: Sequence[str] = (), volatile: bool = False,
-                 agg: str = "max") -> None:
+                 agg: str = "max",
+                 read: Callable[[], object] | None = None) -> None:
         if agg not in ("max", "last"):
             raise ValueError(f"unknown gauge aggregation {agg!r}")
         if agg == "last" and not volatile:
@@ -139,16 +160,17 @@ class Gauge(Metric):
                 f"gauge {name!r}: agg='last' is merge-order dependent "
                 f"and must be volatile (stable-section gauges need a "
                 f"commutative aggregation such as 'max')")
-        super().__init__(name, help, labels, volatile)
+        super().__init__(name, help, labels, volatile, read)
         self.agg = agg
 
     def set(self, value: int | float, **labels: object) -> None:
         """Observe a value (combined per the gauge's aggregation)."""
         key = _label_key(self.label_names, labels)
-        if self.agg == "max" and key in self.values:
-            if value <= self.values[key]:  # type: ignore[operator]
-                return
-        self.values[key] = value
+        with self.lock:
+            if self.agg == "max" and key in self.values:
+                if value <= self.values[key]:  # type: ignore[operator]
+                    return
+            self.values[key] = value
 
     def snapshot(self) -> dict:
         doc = super().snapshot()
@@ -185,19 +207,20 @@ class Histogram(Metric):
     def observe(self, value: int | float, **labels: object) -> None:
         """Record one observation."""
         key = _label_key(self.label_names, labels)
-        series = self.values.get(key)
-        if series is None:
-            series = {"count": 0, "sum": 0,
-                      "bins": [0] * (len(self.buckets) + 1)}
-            self.values[key] = series
-        series["count"] += 1  # type: ignore[index]
-        series["sum"] += value  # type: ignore[index]
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                series["bins"][i] += 1  # type: ignore[index]
-                break
-        else:
-            series["bins"][-1] += 1  # type: ignore[index]
+        with self.lock:
+            series = self.values.get(key)
+            if series is None:
+                series = {"count": 0, "sum": 0,
+                          "bins": [0] * (len(self.buckets) + 1)}
+                self.values[key] = series
+            series["count"] += 1  # type: ignore[index]
+            series["sum"] += value  # type: ignore[index]
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    series["bins"][i] += 1  # type: ignore[index]
+                    break
+            else:
+                series["bins"][-1] += 1  # type: ignore[index]
 
     def _snapshot_values(self) -> dict:
         out = {}
@@ -239,11 +262,14 @@ class MetricsRegistry:
     :meth:`histogram`) are get-or-create: the first call defines the
     metric, later calls return the existing one (and reject a
     conflicting redefinition), so ``record_*`` helpers can call them
-    unconditionally on every observation.
+    unconditionally on every observation.  Defining a read metric
+    again rebinds it to the newest owner.  One re-entrant lock guards
+    every update, merge and snapshot.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        self._lock = threading.RLock()
 
     def __bool__(self) -> bool:
         return True
@@ -254,33 +280,43 @@ class MetricsRegistry:
     def _get_or_create(self, cls, name: str, help: str,
                        labels: Sequence[str], volatile: bool,
                        **extra: object) -> Metric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, help, labels, volatile, **extra)
-            self._metrics[name] = metric
+        volatile = volatile or extra.get("read") is not None
+        with self._lock:
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = cls(name, help, labels, volatile, **extra)
+                metric.lock = self._lock
+                self._metrics[name] = metric
+                return metric
+            read = extra.get("read")
+            if not isinstance(metric, cls) \
+                    or metric.label_names != tuple(labels) \
+                    or metric.volatile != volatile \
+                    or (metric.read is None) != (read is None):
+                raise ValueError(
+                    f"metric {name!r} already registered with a "
+                    f"different definition")
+            if read is not None:
+                metric.read = read
             return metric
-        if not isinstance(metric, cls) \
-                or metric.label_names != tuple(labels) \
-                or metric.volatile != volatile:
-            raise ValueError(
-                f"metric {name!r} already registered with a "
-                f"different definition")
-        return metric
 
     def counter(self, name: str, help: str = "",
                 labels: Sequence[str] = (),
-                volatile: bool = False) -> Counter:
-        """Get or create a counter."""
+                volatile: bool = False,
+                read: Callable[[], object] | None = None) -> Counter:
+        """Get or create a counter (``read``: see :class:`Metric`)."""
         return self._get_or_create(Counter, name, help, labels,
-                                   volatile)  # type: ignore[return-value]
+                                   volatile,
+                                   read=read)  # type: ignore[return-value]
 
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = (), volatile: bool = False,
-              agg: str = "max") -> Gauge:
-        """Get or create a gauge."""
+              agg: str = "max",
+              read: Callable[[], object] | None = None) -> Gauge:
+        """Get or create a gauge (``read``: see :class:`Metric`)."""
         return self._get_or_create(Gauge, name, help, labels,
-                                   volatile,
-                                   agg=agg)  # type: ignore[return-value]
+                                   volatile, agg=agg,
+                                   read=read)  # type: ignore[return-value]
 
     def histogram(self, name: str, help: str = "",
                   labels: Sequence[str] = (), volatile: bool = False,
@@ -298,39 +334,46 @@ class MetricsRegistry:
         if metric is None:
             return default
         key = _label_key(metric.label_names, labels)
-        return metric.values.get(key, default)
+        with self._lock:
+            return metric.values.get(key, default)
 
     def snapshot(self) -> dict:
         """The full snapshot document: stable + volatile sections.
 
         The ``stable`` section is byte-stable across ``--jobs N`` and
         cache configurations; everything configuration-sensitive is
-        confined to ``volatile``.
+        confined to ``volatile``.  Reads run outside the lock: an owner
+        such as the admission controller records here while holding
+        its own lock, so reading it under ours could deadlock.
         """
+        with self._lock:
+            metrics = sorted(self._metrics.items())
+            docs = {name: metric.snapshot() for name, metric in metrics
+                    if metric.read is None}
         stable: dict[str, dict] = {}
         volatile: dict[str, dict] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
+        for name, metric in metrics:
             (volatile if metric.volatile else stable)[name] = \
-                metric.snapshot()
+                docs[name] if name in docs else metric.snapshot()
         return {"schema_version": METRICS_SCHEMA_VERSION,
                 "stable": stable, "volatile": volatile}
 
     def dump(self) -> list[dict]:
         """Picklable full state, for crossing process boundaries."""
         out = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            entry = {"name": name, "kind": metric.kind,
-                     "help": metric.help,
-                     "labels": list(metric.label_names),
-                     "volatile": metric.volatile,
-                     "values": metric.values}
-            if isinstance(metric, Gauge):
-                entry["agg"] = metric.agg
-            if isinstance(metric, Histogram):
-                entry["buckets"] = list(metric.buckets)
-            out.append(entry)
+        with self._lock:
+            for name in sorted(self._metrics):
+                metric = self._metrics[name]
+                entry = {"name": name, "kind": metric.kind,
+                         "help": metric.help,
+                         "labels": list(metric.label_names),
+                         "volatile": metric.volatile,
+                         "values": metric.values}
+                if isinstance(metric, Gauge):
+                    entry["agg"] = metric.agg
+                if isinstance(metric, Histogram):
+                    entry["buckets"] = list(metric.buckets)
+                out.append(entry)
         return out
 
     def merge(self, dumped: list[dict]) -> None:
@@ -341,25 +384,27 @@ class MetricsRegistry:
         Call in program order -- every combination is commutative
         except ``agg="last"`` gauges, which take the caller's order.
         """
-        for entry in dumped:
-            name = entry["name"]
-            kind = entry["kind"]
-            if kind == "counter":
-                metric: Metric = self.counter(
-                    name, entry["help"], entry["labels"],
-                    entry["volatile"])
-            elif kind == "gauge":
-                metric = self.gauge(name, entry["help"],
-                                    entry["labels"], entry["volatile"],
-                                    agg=entry.get("agg", "max"))
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, entry["help"], entry["labels"],
-                    entry["volatile"],
-                    buckets=entry.get("buckets", DEFAULT_BUCKETS))
-            else:
-                raise ValueError(f"unknown metric kind {kind!r}")
-            metric.merge_values(entry["values"])
+        with self._lock:
+            for entry in dumped:
+                name = entry["name"]
+                kind = entry["kind"]
+                if kind == "counter":
+                    metric: Metric = self.counter(
+                        name, entry["help"], entry["labels"],
+                        entry["volatile"])
+                elif kind == "gauge":
+                    metric = self.gauge(name, entry["help"],
+                                        entry["labels"],
+                                        entry["volatile"],
+                                        agg=entry.get("agg", "max"))
+                elif kind == "histogram":
+                    metric = self.histogram(
+                        name, entry["help"], entry["labels"],
+                        entry["volatile"],
+                        buckets=entry.get("buckets", DEFAULT_BUCKETS))
+                else:
+                    raise ValueError(f"unknown metric kind {kind!r}")
+                metric.merge_values(entry["values"])
 
 
 def write_metrics(registry: MetricsRegistry, path: str) -> None:
@@ -380,7 +425,9 @@ def read_metrics(path: str) -> dict:
 #
 # One helper per instrumentation site; each defines its metric names,
 # help strings, and labels exactly once.  All take the registry first
-# and are no-ops when it is None, so call sites stay one-liners.
+# and are no-ops when it is None, so call sites stay one-liners.  The
+# daemon's read metrics are defined where their owners register them
+# (``ReproServer``, ``RollingWindow.register``).
 
 #: BuildStats fields mirrored into per-builder counters
 _BUILD_COUNTER_FIELDS = (
@@ -517,7 +564,8 @@ def record_cache(metrics: MetricsRegistry | None, hits: int,
                  misses: int, entries: int | None = None,
                  recipes: int | None = None) -> None:
     """Record pairwise-cache activity (volatile: each parallel worker
-    warms its own cache, so totals shift with the worker count)."""
+    warms its own cache, so totals shift with the worker count), and
+    with ``entries`` the cache's final size."""
     if metrics is None:
         return
     metrics.counter("repro_cache_hits_total",
@@ -527,13 +575,28 @@ def record_cache(metrics: MetricsRegistry | None, hits: int,
                     "PairwiseCache fresh constructions.",
                     volatile=True).inc(misses)
     if entries is not None:
-        metrics.gauge("repro_cache_entries",
-                      "Distinct block fingerprints cached.",
-                      volatile=True).set(entries)
-    if recipes is not None:
-        metrics.gauge("repro_cache_recipes",
-                      "Recorded per-builder arc recipes.",
-                      volatile=True).set(recipes)
+        read_cache_size(metrics, lambda: {"entries": entries,
+                                          "recipes": recipes})
+
+
+def read_cache_size(metrics: MetricsRegistry | None,
+                    info: Callable[[], Mapping[str, int]]) -> None:
+    """Expose a cache's size as gauges read at every snapshot.
+
+    Args:
+        metrics: the registry (None = off).
+        info: returns ``entries`` and ``recipes`` -- a
+            :meth:`~repro.dag.builders.cache.PairwiseCache.info`, or
+            the daemon's total over its warm caches.
+    """
+    if metrics is None:
+        return
+    metrics.gauge("repro_cache_entries",
+                  "Distinct block fingerprints cached.",
+                  read=lambda: info()["entries"])
+    metrics.gauge("repro_cache_recipes",
+                  "Recorded per-builder arc recipes.",
+                  read=lambda: info()["recipes"])
 
 
 def record_verify_check(metrics: MetricsRegistry | None, check: str,
@@ -624,9 +687,8 @@ def record_quarantine(metrics: MetricsRegistry | None) -> None:
 
 # -- serving (repro serve / loadtest) --------------------------------------
 #
-# All volatile: request latencies, queue depths, and shed/reject
-# counts depend on arrival timing and host load, never on the input
-# program alone.
+# All volatile: request latencies and rejection counts depend on
+# arrival timing and host load, never on the input program alone.
 
 #: request latency histogram bucket bounds, seconds
 REQUEST_SECONDS_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
@@ -672,42 +734,6 @@ def record_rejection(metrics: MetricsRegistry | None, tenant: str,
         1, tenant=tenant, reason=reason)
 
 
-def record_shed_blocks(metrics: MetricsRegistry | None, n: int,
-                       reason: str) -> None:
-    """Record blocks shed by an admitted request.
-
-    Args:
-        metrics: the registry (None = off).
-        n: blocks shed.
-        reason: why -- ``"deadline"``, ``"disconnect"``, or
-            ``"drain"``.
-    """
-    if metrics is None or n <= 0:
-        return
-    metrics.counter("repro_shed_blocks_total",
-                    "Blocks shed by admitted requests (deadline "
-                    "expiry, client disconnect, drain kill).",
-                    labels=("reason",), volatile=True).inc(
-        n, reason=reason)
-
-
-def record_queue_depth(metrics: MetricsRegistry | None,
-                       depth: int) -> None:
-    """Record the admission queue depth at one observation point.
-
-    ``agg="last"`` matters: with the default max aggregation the
-    gauge would latch at its all-time peak and read as permanent
-    saturation after any burst.  The scrape sees the most recent
-    occupancy; per-window peaks come from the telemetry window.
-    """
-    if metrics is None:
-        return
-    metrics.gauge("repro_queue_depth_max",
-                  "Request queue occupancy (admitted, not yet "
-                  "finished) at the last observation.",
-                  volatile=True, agg="last").set(depth)
-
-
 def record_deadline(metrics: MetricsRegistry | None,
                     met: bool) -> None:
     """Record whether one deadline-carrying request met its deadline."""
@@ -745,39 +771,13 @@ def record_breaker_transition(metrics: MetricsRegistry | None,
                   agg="last").set(state_code, builder=builder)
 
 
-def record_wal_recovery(metrics: MetricsRegistry | None,
-                        replayed: int, dropped: int,
-                        recovered: int) -> None:
-    """Record one WAL startup recovery (the durability tentpole).
-
-    Args:
-        metrics: the registry (None = off).
-        replayed: records read back intact from the WAL.
-        dropped: torn-tail lines truncated off the WAL.
-        recovered: accepted-but-unfinished requests re-enqueued.
-    """
-    if metrics is None:
-        return
-    metrics.gauge("repro_wal_replayed",
-                  "WAL records replayed at the last daemon start.",
-                  volatile=True).set(replayed)
-    metrics.gauge("repro_wal_dropped",
-                  "Torn-tail WAL lines truncated at the last daemon "
-                  "start.", volatile=True).set(dropped)
-    metrics.counter("repro_wal_recovered_requests_total",
-                    "Accepted-but-unfinished requests re-enqueued "
-                    "from the WAL across daemon restarts.",
-                    volatile=True).inc(recovered)
-
-
 def record_overload_transition(metrics: MetricsRegistry | None,
                                from_level: str, to_level: str,
                                direction: str) -> None:
     """Record one degradation-ladder transition.
 
-    The live level itself is exported as the hand-built
-    ``repro_overload_level`` gauge in the server's exposition (it
-    must exist even when no registry does), so only the transition
+    The live level itself is the daemon's ``repro_overload_level``
+    gauge, read from the ladder at scrape time, so only the transition
     counter lives here.
 
     Args:
@@ -807,14 +807,3 @@ def record_overload_rejection(metrics: MetricsRegistry | None,
                     "tenant priority class.",
                     labels=("tenant_class",), volatile=True).inc(
         1, tenant_class=tenant_class)
-
-
-def record_wal_dedup(metrics: MetricsRegistry | None) -> None:
-    """Record one request answered from the finished-key index
-    (exactly-once results: nothing recomputed, nothing charged)."""
-    if metrics is None:
-        return
-    metrics.counter("repro_wal_deduped_requests_total",
-                    "Requests answered from the WAL-backed "
-                    "idempotency index instead of recomputed.",
-                    volatile=True).inc(1)

@@ -346,9 +346,9 @@ def run_batch(blocks: Sequence[BasicBlock],
         if spool is not None:
             spool.shutdown(kill=not finished)
             result.supervisor_stats = spool.stats
-    if metrics is not None and cache is not None:
-        info = cache.info()
+    if cache is not None:
+        # Only this run's activity: the cache's size belongs to its
+        # owner (the daemon's warm caches outlive every request).
         record_cache(metrics, cache.hits - hits0,
-                     cache.misses - misses0,
-                     entries=info["entries"], recipes=info["recipes"])
+                     cache.misses - misses0)
     return result

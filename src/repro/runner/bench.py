@@ -48,7 +48,7 @@ from repro.errors import ReproError
 from repro.heuristics.incremental import annotate, update_after_arc
 from repro.heuristics.passes import backward_pass, backward_pass_levels
 from repro.machine.model import MachineModel
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, read_cache_size
 from repro.obs.trace import Tracer
 from repro.runner.batch import run_batch
 from repro.runner.fallback import BUILDER_CLASSES
@@ -285,6 +285,7 @@ def _bench_batch(blocks, machine: MachineModel, repeats: int,
     if metrics is None:
         metrics = MetricsRegistry()
     probe = PairwiseCache()
+    read_cache_size(metrics, probe.info)
     run_for_info = run_batch(blocks, machine, verify=True, cache=probe,
                              tracer=tracer, metrics=metrics)
     parallel_s = None

@@ -37,7 +37,6 @@ from repro.errors import RequestRejected
 from repro.obs.metrics import (
     MetricsRegistry,
     record_overload_rejection,
-    record_queue_depth,
     record_rejection,
 )
 from repro.runner.watchdog import Budget
@@ -164,8 +163,8 @@ class AdmissionController:
         tenant_max_blocks: per-tenant cumulative block budget
             (None = unlimited).
         max_request_blocks: largest single request, in blocks.
-        metrics: optional registry; rejections and queue depth are
-            recorded as they happen.
+        metrics: optional registry; rejections are recorded as they
+            happen.
         clock: injectable monotonic clock (tests).
         priority_tenants: tenant names in the ``priority`` class --
             kept flowing at degradation level L3 while best-effort
@@ -238,8 +237,7 @@ class AdmissionController:
             self.rejections_by_reason.get(reason, 0) + 1
         if state is not None:
             state.requests_rejected += 1
-        if self.metrics is not None:
-            record_rejection(self.metrics, tenant, reason)
+        record_rejection(self.metrics, tenant, reason)
         message = f"request rejected: {reason}"
         if detail:
             message += f" ({detail})"
@@ -296,13 +294,7 @@ class AdmissionController:
         visible in the same counters and metrics as ``admit``'s own.
         """
         with self._lock:
-            state = self._tenant(tenant)
-            state.requests_rejected += 1
-            self.rejected_total += 1
-            self.rejections_by_reason[reason] = \
-                self.rejections_by_reason.get(reason, 0) + 1
-            if self.metrics is not None:
-                record_rejection(self.metrics, tenant, reason)
+            self._reject(self._tenant(tenant), tenant, reason)
 
     @property
     def draining(self) -> bool:
@@ -389,12 +381,6 @@ class AdmissionController:
             self._occupancy += 1
             self._occupancy_high_water = max(self._occupancy_high_water,
                                              self._occupancy)
-            if self.metrics is not None:
-                # The gauge gets the *current* occupancy -- feeding it
-                # the monotone high-water mark froze the telemetry
-                # window's queue_depth_max at its all-time peak after
-                # any burst.  High water stays its own snapshot stat.
-                record_queue_depth(self.metrics, self._occupancy)
             return AdmissionTicket(controller=self, tenant=tenant,
                                    n_blocks=n_blocks)
 

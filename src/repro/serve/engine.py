@@ -44,7 +44,7 @@ from repro.cfg.basic_block import BasicBlock
 from repro.dag.builders import PairwiseCache
 from repro.errors import ReproError, RequestRejected
 from repro.machine.model import MachineModel
-from repro.obs.metrics import MetricsRegistry, record_deadline, record_shed_blocks
+from repro.obs.metrics import MetricsRegistry, record_deadline
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runner.batch import record_block, run_batch
 from repro.runner.fallback import BlockOutcome
@@ -101,6 +101,7 @@ def cache_stats() -> dict:
     return {"caches": len(caches), "hits": hits, "misses": misses,
             "bundle_hits": sum(c.bundle_hits for c in caches),
             "entries": sum(len(c) for c in caches),
+            "recipes": sum(c.info()["recipes"] for c in caches),
             "hit_rate": round(hits / (hits + misses), 4)
             if hits + misses else 0.0}
 
@@ -234,7 +235,7 @@ def run_request(request: ScheduleRequest,
             worker builds its own instead.
         metrics: optional registry: per-block structure, outcome and
             builder counters (the same stable set at every ``jobs``
-            value, WAL replays included) plus shed/deadline counters.
+            value, WAL replays included) plus the deadline counter.
         breaker: optional shared per-builder circuit breaker.
         cancelled: polled between blocks; returning a shed reason
             (e.g. ``"disconnect"``, ``"drain"``) sheds the remainder.
@@ -359,14 +360,12 @@ def run_request(request: ScheduleRequest,
                 emit(protocol.shed_frame(request.id, late.index,
                                          exc.reason,
                                          trace=request.trace))
-            if metrics is not None:
-                record_shed_blocks(metrics, count, exc.reason)
         span_attrs["scheduled"] = n_scheduled
         span_attrs["shed"] = sum(shed_reasons.values())
 
     n_shed = sum(shed_reasons.values())
     wall_s = clock() - t0
-    if deadline is not None and metrics is not None:
+    if deadline is not None:
         record_deadline(metrics, met=SHED_DEADLINE not in shed_reasons)
     summary = {
         "n_blocks": len(blocks),

@@ -28,13 +28,14 @@ Tests and the in-process harnesses (`loadtest --in-process`, ``chaos
 --serve``) use :class:`BackgroundServer`, which runs the same server
 on a daemon thread and exposes programmatic ``drain()``.
 
-Telemetry: with ``telemetry=`` set, the daemon also serves the full
-metrics registry as Prometheus text exposition over a loopback-only
-HTTP listener (``GET /metrics``), including the
-:class:`~repro.obs.expo.RollingWindow` sliding-window aggregates
-(p50/p99 latency, queue depth, shed/reject rates).  The same payload
-is available over the NDJSON socket as the ``metrics`` op, which is
-what ``repro top`` polls.
+Telemetry: the server always owns a metrics registry, its one
+telemetry source.  Server state -- uptime, occupancy, the ladder, the
+block and WAL accounting, the warm caches and the
+:class:`~repro.obs.expo.RollingWindow` sliding-window aggregates --
+is registered as read metrics, evaluated at scrape time from the
+objects that hold it.  The ``metrics`` op (what ``repro top`` polls)
+and, with ``telemetry=`` set, a loopback-only HTTP listener
+(``GET /metrics``) serve the registry as Prometheus text exposition.
 """
 
 from __future__ import annotations
@@ -59,10 +60,9 @@ from repro.obs.expo import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
+    read_cache_size,
     record_overload_transition,
     record_request,
-    record_wal_dedup,
-    record_wal_recovery,
 )
 from repro.obs.trace import Tracer
 from repro.runner.journal import read_snapshot, write_snapshot
@@ -158,9 +158,9 @@ class ServeConfig:
         telemetry: optional loopback HTTP listen address for the
             Prometheus exposition endpoint (``GET /metrics``); same
             accepted forms as ``address`` minus unix sockets.  When
-            set and no registry was supplied, the server creates one
-            so the endpoint is never empty.  None disables the
-            listener (the ``metrics`` op still answers).
+            set, the engine's per-block series are recorded as if a
+            registry had been supplied.  None disables the listener
+            (the ``metrics`` op still answers).
         overload: adaptive overload control -- the pressure monitor
             and degradation ladder of :mod:`repro.serve.overload`.
             The default config is conservative (the ladder sits at L0
@@ -278,11 +278,14 @@ class ReproServer:
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         self.config = config
-        if metrics is None and config.telemetry is not None:
-            # A telemetry endpoint with nothing behind it would scrape
-            # empty; give it a registry.
-            metrics = MetricsRegistry()
-        self.metrics = metrics
+        self.metrics = (metrics if metrics is not None
+                        else MetricsRegistry())
+        #: the engine's per-block Table 3-5 series cost tens of
+        #: microseconds a block, so they are recorded only when the
+        #: operator asked for metrics (a registry or an endpoint)
+        self._engine_metrics = (self.metrics if metrics is not None
+                                or config.telemetry is not None
+                                else None)
         self.tracer = tracer
         self._tracer_lock = threading.Lock()
         #: sliding-window request aggregates (p50/p99, shed/reject
@@ -307,14 +310,14 @@ class ReproServer:
             tenant_burst=config.tenant_burst,
             tenant_max_blocks=config.tenant_max_blocks,
             max_request_blocks=config.max_request_blocks,
-            metrics=metrics,
+            metrics=self.metrics,
             priority_tenants=frozenset(
                 config.overload.priority_tenants)
             if config.overload is not None else frozenset(),
             overload_level=self.overload_level,
             completion_rate=self.window.completion_rate_rps)
         self.stats = ServerStats()
-        self.breaker = (CircuitBreaker(metrics=metrics)
+        self.breaker = (CircuitBreaker(metrics=self.metrics)
                         if config.breaker else None)
         self._stats_lock = threading.Lock()
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -365,10 +368,63 @@ class ReproServer:
                     # integrity problem: start cold, let fsck report
                     # it.
                     self._snapshot_loaded = False
-            if metrics is not None:
-                record_wal_recovery(metrics, replayed=recovery.replayed,
-                                    dropped=recovery.dropped,
-                                    recovered=len(recovery.incomplete))
+        self._register_reads()
+
+    def _register_reads(self) -> None:
+        """Expose server state as metrics read at scrape time.
+
+        Each series reads the object that already holds its fact, so
+        ``/metrics`` cannot disagree with the stats and health frames.
+        """
+        metrics, stats, admission = self.metrics, self.stats, \
+            self.admission
+        metrics.gauge("repro_serve_uptime_seconds", "Daemon uptime.",
+                      read=lambda: round(time.monotonic() - self._started,
+                                         3))
+        metrics.gauge("repro_serve_occupancy",
+                      "Admitted requests running or queued.",
+                      read=lambda: admission.occupancy)
+        metrics.gauge("repro_queue_depth_max",
+                      "Request queue occupancy (admitted, not yet "
+                      "finished) at scrape time.",
+                      agg="last", read=lambda: admission.occupancy)
+        metrics.gauge("repro_serve_draining", "1 once drain has begun.",
+                      read=lambda: int(admission.draining))
+        if self.ladder is not None:
+            ladder = self.ladder
+            metrics.gauge("repro_overload_level",
+                          "Active degradation-ladder level (0 normal "
+                          ".. 4 emergency).", read=lambda: ladder.level)
+            metrics.gauge("repro_overload_max_level",
+                          "Highest ladder level reached since boot.",
+                          read=lambda: ladder.max_level)
+
+        def shed_by_reason() -> dict:
+            with self._stats_lock:
+                return {(reason,): n
+                        for reason, n in stats.shed_by_reason.items()}
+        metrics.counter("repro_shed_blocks_total",
+                        "Blocks shed by admitted requests (deadline "
+                        "expiry, client disconnect, drain kill, "
+                        "request error).",
+                        labels=("reason",), read=shed_by_reason)
+        metrics.counter("repro_wal_deduped_requests_total",
+                        "Requests answered from the idempotency index "
+                        "instead of recomputed.",
+                        read=lambda: stats.requests_deduped)
+        if self.wal is not None:
+            metrics.gauge("repro_wal_replayed",
+                          "WAL records replayed at daemon start.",
+                          read=lambda: stats.wal_replayed)
+            metrics.gauge("repro_wal_dropped",
+                          "Torn-tail WAL lines truncated at daemon "
+                          "start.", read=lambda: stats.wal_dropped)
+            metrics.counter("repro_wal_recovered_requests_total",
+                            "Accepted-but-unfinished WAL requests "
+                            "re-run since daemon start.",
+                            read=lambda: stats.requests_recovered)
+        read_cache_size(metrics, cache_stats)
+        self.window.register(metrics)
 
     def _remember_finished(self, key: str, entry: dict) -> None:
         """LRU-insert one finished key into the dedup index."""
@@ -552,43 +608,12 @@ class ReproServer:
                              else {"enabled": False})}
 
     def exposition_text(self) -> str:
-        """The full Prometheus exposition: registry + window + server.
+        """The registry as Prometheus exposition text.
 
-        Deterministic for a given server state; the ``--telemetry``
-        HTTP endpoint and the ``metrics`` op both serve exactly this
-        text.
+        The ``--telemetry`` HTTP endpoint and the ``metrics`` op both
+        serve exactly this text.
         """
-        parts = []
-        if self.metrics is not None:
-            parts.append(render_exposition(self.metrics.snapshot()))
-        parts.append(self.window.exposition())
-        snapshot = self.admission.snapshot()
-        server_lines = [
-            "# HELP repro_serve_uptime_seconds Daemon uptime.",
-            "# TYPE repro_serve_uptime_seconds gauge",
-            f"repro_serve_uptime_seconds "
-            f"{round(time.monotonic() - self._started, 3)}",
-            "# HELP repro_serve_occupancy Admitted requests running "
-            "or queued.",
-            "# TYPE repro_serve_occupancy gauge",
-            f"repro_serve_occupancy {snapshot['occupancy']}",
-            "# HELP repro_serve_draining 1 once drain has begun.",
-            "# TYPE repro_serve_draining gauge",
-            f"repro_serve_draining {int(snapshot['draining'])}",
-        ]
-        if self.ladder is not None:
-            server_lines += [
-                "# HELP repro_overload_level Active degradation-"
-                "ladder level (0 normal .. 4 emergency).",
-                "# TYPE repro_overload_level gauge",
-                f"repro_overload_level {self.ladder.level}",
-                "# HELP repro_overload_max_level Highest ladder "
-                "level reached since boot.",
-                "# TYPE repro_overload_max_level gauge",
-                f"repro_overload_max_level {self.ladder.max_level}",
-            ]
-        parts.append("\n".join(server_lines) + "\n")
-        return "".join(parts)
+        return render_exposition(self.metrics.snapshot())
 
     def _metrics_frame(self) -> dict:
         return {"type": "metrics",
@@ -640,7 +665,7 @@ class ReproServer:
                 block_wall_s=cfg.block_wall_s,
                 max_work=cfg.max_work,
                 cache=warm_cache(request.machine, cache_entries),
-                metrics=self.metrics,
+                metrics=self._engine_metrics,
                 breaker=self.breaker,
                 cancelled=lambda: active.cancel_reason
                 or (SHED_DRAIN if self._drain_forced else None),
@@ -671,8 +696,6 @@ class ReproServer:
         """
         with self._stats_lock:
             self.stats.requests_deduped += 1
-        if self.metrics is not None:
-            record_wal_dedup(self.metrics)
         trace = (entry.get("request") or {}).get("trace")
         if trace is not None and not isinstance(trace, str):
             trace = None
@@ -847,9 +870,8 @@ class ReproServer:
             accounted = True
             elapsed = time.monotonic() - active.t0
             self.window.observe_request(terminal_status, elapsed)
-            if self.metrics is not None:
-                record_request(self.metrics, request.tenant,
-                               terminal_status, elapsed)
+            record_request(self.metrics, request.tenant,
+                           terminal_status, elapsed)
 
         try:
             summary = await loop.run_in_executor(

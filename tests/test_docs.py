@@ -1,7 +1,9 @@
 """Documentation integrity tests."""
 
+import json
 import pathlib
 import re
+import socket
 import subprocess
 import sys
 
@@ -75,3 +77,35 @@ class TestCrossReferences:
         for name in re.findall(r"from repro import ([\w, ]+)", text):
             for symbol in [s.strip() for s in name.split(",")]:
                 assert hasattr(repro, symbol), symbol
+
+
+class TestMetricCatalog:
+    def test_every_daemon_family_has_a_row(self, tmp_path):
+        from repro.obs import MetricsRegistry, parse_exposition
+        from repro.serve import protocol
+        from repro.serve.server import BackgroundServer, ServeConfig
+        config = ServeConfig(address=f"unix:{tmp_path}/s.sock",
+                             wal_dir=str(tmp_path / "wal"))
+        background = BackgroundServer(config,
+                                      metrics=MetricsRegistry()).start()
+        try:
+            with socket.socket(socket.AF_UNIX) as sock:
+                sock.connect(str(tmp_path / "s.sock"))
+                stream = sock.makefile("rwb")
+                stream.write(protocol.encode({
+                    "op": "schedule", "id": "r", "verify": True,
+                    "workload": {"kernel": "daxpy", "copies": 2}}))
+                stream.flush()
+                while json.loads(stream.readline())["type"] != "done":
+                    pass
+            exposition = background.server.exposition_text()
+        finally:
+            background.drain()
+        families, _ = parse_exposition(exposition)
+        text = (DOCS / "observability.md").read_text()
+        catalog = text.split("### Metric catalog", 1)[1]
+        catalog = catalog.split("\n## ", 1)[0]
+        rows = set(re.findall(r"`(repro_\w+)`", "\n".join(
+            line for line in catalog.splitlines()
+            if line.startswith("|"))))
+        assert sorted(set(families) - rows) == []

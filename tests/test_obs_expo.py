@@ -158,10 +158,26 @@ class TestRollingWindow:
     def test_exposition_series(self):
         clock = FakeClock()
         w = RollingWindow(clock=clock)
-        w.observe_request("ok", 0.02)
-        text = w.exposition()
-        families, samples = parse_exposition(text)
+        reg = MetricsRegistry()
+        w.register(reg)
+        # an empty window's quantiles have no sample, so no family
+        families, _ = parse_exposition(render_exposition(reg.snapshot()))
+        assert "repro_window_request_p50_seconds" not in families
         assert families["repro_window_requests"] == "gauge"
-        assert samples["repro_window_requests"] == 1
-        assert "repro_window_request_p50_seconds" in families
-        assert "repro_window_request_p99_seconds" in families
+        w.observe_request("ok", 0.02)
+        text = render_exposition(reg.snapshot())
+        families, samples = parse_exposition(text)
+        assert families == {name: "gauge" for name, _, _ in w.GAUGES}
+        assert samples == {
+            "repro_window_seconds": 60.0,
+            "repro_window_requests": 1,
+            "repro_window_errors": 0,
+            "repro_window_rejections": 0,
+            "repro_window_shed_blocks": 0,
+            "repro_window_queue_depth_max": 0,
+            "repro_window_request_rate_rps": 0.0167,
+            "repro_window_request_p50_seconds": 0.025,
+            "repro_window_request_p99_seconds": 0.025,
+        }
+        assert "# HELP repro_window_requests Requests terminated " \
+            "inside the window.\n" in text

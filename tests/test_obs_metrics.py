@@ -1,6 +1,8 @@
 """Tests for the metrics registry: types, labels, snapshots, merging."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -153,6 +155,73 @@ class TestRegistry:
         path = tmp_path / "metrics.json"
         write_metrics(reg, str(path))
         assert read_metrics(str(path)) == reg.snapshot()
+
+
+class TestReadMetrics:
+    def test_read_at_snapshot_time(self):
+        reg = MetricsRegistry()
+        state = {"depth": 2, "shed": {}, "p50": None}
+        reg.gauge("depth", "d", read=lambda: state["depth"])
+        reg.counter("shed", "s", labels=("reason",),
+                    read=lambda: {(r,): n
+                                  for r, n in state["shed"].items()})
+        reg.gauge("p50", "p", read=lambda: state["p50"])
+        state.update(depth=0, shed={"error": 3}, p50=0.5)
+        volatile = reg.snapshot()["volatile"]
+        assert volatile["depth"]["values"] == {"": 0}
+        assert volatile["shed"]["values"] == {"reason=error": 3}
+        assert volatile["p50"]["values"] == {"": 0.5}
+        state["p50"] = None  # no sample
+        assert reg.snapshot()["volatile"]["p50"]["values"] == {}
+
+    def test_definition_rules(self):
+        reg = MetricsRegistry()
+        reg.gauge("g", "g", read=lambda: 1)
+        assert "g" in reg.snapshot()["volatile"]  # live state
+        with pytest.raises(ValueError):
+            reg.gauge("g", "g", volatile=True)  # a recorded twin
+        # the newest owner's read wins
+        reg.gauge("g", "g", read=lambda: 2)
+        assert reg.snapshot()["volatile"]["g"]["values"] == {"": 2}
+
+    def test_reads_run_outside_the_lock(self):
+        # An owner may record here while holding its own lock, so a
+        # read taken under the registry lock could deadlock with it.
+        reg = MetricsRegistry()
+        counter = reg.counter("c", "c")
+
+        def read():
+            writer = threading.Thread(target=counter.inc)
+            writer.start()
+            writer.join(10)
+            return int(not writer.is_alive())
+        reg.gauge("writer_finished", "w", read=read)
+        snap = reg.snapshot()
+        assert snap["volatile"]["writer_finished"]["values"] == {"": 1}
+        assert reg.value("c") == 1
+
+
+class TestThreadSafety:
+    def test_concurrent_increments_are_exact(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c", "c")
+        n = 200_000
+
+        def work():
+            for _ in range(n):
+                counter.inc()
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reg.value("c") == 2 * n
 
 
 class _Stats:

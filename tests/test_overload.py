@@ -24,6 +24,7 @@ from repro.serve.overload import (DEFAULT_ENTER, DEFAULT_EXIT,
                                   OverloadMonitor, OverloadSignals,
                                   Transition, is_priority_tenant,
                                   pressure_score, process_rss_mb)
+from repro.serve.server import ReproServer, ServeConfig
 
 
 class FakeClock:
@@ -413,23 +414,26 @@ class TestAdmissionOverloadGates:
         ctrl = self.controller(L_BROWNOUT)
         assert ctrl.snapshot()["overload_level"] == L_BROWNOUT
 
-    def test_queue_depth_gauge_tracks_occupancy_not_high_water(self):
+    def test_queue_depth_gauge_tracks_occupancy_not_high_water(
+            self, tmp_path):
         # Regression: the gauge fed the monotone high-water mark,
         # freezing the telemetry window's queue depth at its
-        # all-time peak after any burst.
-        metrics = MetricsRegistry()
-        ctrl = self.controller(0, metrics=metrics, max_active=4)
+        # all-time peak after any burst.  The daemon reads it from
+        # admission at scrape time.
+        server = ReproServer(ServeConfig(
+            address=f"unix:{tmp_path}/s.sock", workers=4))
+        ctrl = server.admission
 
         def gauge():
-            return metrics.snapshot()["volatile"][
+            return server.metrics.snapshot()["volatile"][
                 "repro_queue_depth_max"]["values"][""]
 
         a, b = ctrl.admit("t", 1), ctrl.admit("t", 1)
         assert gauge() == 2
         a.release()
-        b.release()
-        ctrl.admit("t", 1).release()
         assert gauge() == 1  # would be 2 with the high-water bug
+        b.release()
+        assert gauge() == 0
 
 
 class TestRollingWindowRecent:

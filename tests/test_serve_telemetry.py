@@ -228,3 +228,55 @@ class TestTop:
     def test_unreachable_daemon_is_typed_error(self, tmp_path):
         with pytest.raises(ReproError, match="connect"):
             poll_ops(f"unix:{tmp_path}/absent.sock")
+
+
+class TestOneSource:
+    """The exposition reads the state the stats and health frames
+    report, so the three cannot disagree."""
+
+    def test_exposition_agrees_with_frames(self, tmp_path):
+        config = ServeConfig(address=f"unix:{tmp_path}/one.sock",
+                             workers=2, max_queued=8,
+                             wal_dir=str(tmp_path / "wal"))
+        background = BackgroundServer(config,
+                                      metrics=MetricsRegistry()).start()
+        client = _Client(background.address)
+        try:
+            # four pipelined requests across two machines
+            messages = [_workload_message(f"p{i}", machine=machine)
+                        for i, machine in enumerate(
+                            ("generic", "sparc", "generic", "sparc"))]
+            messages[0]["key"] = "resend-me"
+            for message in messages:
+                client.send(message)
+            pending = {m["id"] for m in messages}
+            while pending:
+                frame = client.recv()
+                if frame["type"] in ("done", "rejected", "error"):
+                    assert frame["type"] == "done", frame
+                    pending.discard(frame["id"])
+            client.send(_workload_message("bad", copies=3,
+                                          chain=["nope"]))
+            assert client.stream_until_terminal(
+                "bad")[-1]["type"] == "error"
+            client.send(dict(messages[0], id="again"))
+            assert client.stream_until_terminal(
+                "again")[-1]["deduped"] is True
+            frames = {}
+            for op in ("metrics", "stats", "health"):
+                client.send({"op": op, "id": op})
+                frames[op] = client.recv()
+        finally:
+            client.close()
+            background.drain()
+        _, samples = parse_exposition(frames["metrics"]["exposition"])
+        server = frames["stats"]["server"]
+        assert server["shed_by_reason"]["error"] == 3
+        assert samples.get('repro_shed_blocks_total{reason="error"}') \
+            == server["shed_by_reason"]["error"]
+        assert samples["repro_cache_entries"] \
+            == frames["health"]["cache"]["entries"]
+        assert samples["repro_queue_depth_max"] \
+            == samples["repro_serve_occupancy"] == 0
+        assert samples["repro_wal_deduped_requests_total"] \
+            == server["requests_deduped"] == 1
