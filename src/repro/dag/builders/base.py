@@ -95,6 +95,9 @@ class AliasOracle:
         self.stats = stats
         self._cache: dict[tuple[int, int], bool] = (
             {} if verdicts is None else verdicts)
+        #: the candidate index :func:`alias_candidates` extends: memory
+        #: id -> (candidates found so far, [memory ids scanned so far])
+        self.candidates: dict[int, tuple[list[int], list[int]]] = {}
 
     def aliases(self, rid_a: int, res_a: Resource,
                 rid_b: int, res_b: Resource) -> bool:
@@ -166,12 +169,31 @@ def alias_candidates(rid: int, resource: Resource, space: ResourceSpace,
     candidate; for memory expressions the sweep covers the interned
     memory population -- the aliasing sweep the paper's table builders
     perform against their memory rows.
+
+    The sweep is incremental: ``oracle.candidates`` keeps, per memory
+    id, the candidates found so far and how much of the space's
+    memory-id list has been scanned, so a call yields the known
+    candidates and consults only the ids interned since.  Every id it
+    skips was consulted on an earlier scan and sits in the verdict
+    memo, so the pairs consulted for the first time -- and hence
+    ``alias_checks`` and every budget trip -- are the same, in the
+    same order, as a full rescan's.
     """
     if resource.kind is not ResourceKind.MEM:
         yield rid
         return
-    for other in space.memory_ids:
-        if oracle.aliases(rid, resource, other, space.resource(other)):
+    entry = oracle.candidates.get(rid)
+    if entry is None:
+        entry = oracle.candidates[rid] = ([], [0])
+    found, scanned = entry
+    yield from found
+    if scanned[0] == space.n_memory_exprs:
+        return
+    for other in space.memory_ids[scanned[0]:]:
+        hit = oracle.aliases(rid, resource, other, space.resource(other))
+        scanned[0] += 1
+        if hit:
+            found.append(other)
             yield other
 
 

@@ -17,7 +17,7 @@ pluggable arc sink so the reachability-bitmap variant
 
 from __future__ import annotations
 
-import sys
+from bisect import bisect_left
 from typing import Callable
 
 from repro.dag.builders.base import (
@@ -33,6 +33,18 @@ from repro.isa.resources import Resource, ResourceSpace
 
 #: arc sink signature: (parent, child, dep, delay, resource)
 ArcSink = Callable[[DagNode, DagNode, DepType, int, "Resource"], None]
+
+
+def _at_or_before(entries: list[tuple[DagNode, int]],
+                  barrier: DagNode) -> int:
+    """Start of the suffix of ``entries`` whose node id is <= the barrier's.
+
+    ``entries`` is in decreasing node id (the backward pass appends
+    each node after every later one), so the entries a barrier lets
+    through are a suffix; walking that suffix keeps the emission order
+    of a full filtered walk.
+    """
+    return bisect_left(entries, -barrier.id, key=lambda e: -e[0].id)
 
 
 class TableBackwardBuilder(DagBuilder):
@@ -63,8 +75,8 @@ class TableBackwardBuilder(DagBuilder):
         machine = self.machine
         # rid -> (nearest later defining node, def position)
         nearest_def: dict[int, tuple[DagNode, int]] = {}
-        # rid -> all later definitions / uses (unordered; the barrier
-        # filter below does the shadowing)
+        # rid -> all later definitions / uses, appended in decreasing
+        # node id, so the entries at or before a barrier are a suffix
         later_defs: dict[int, list[tuple[DagNode, int]]] = {}
         later_uses: dict[int, list[tuple[DagNode, int]]] = {}
 
@@ -76,22 +88,24 @@ class TableBackwardBuilder(DagBuilder):
                 # shadows this one from anything beyond it.
                 stats.table_probes += 1
                 shadow = nearest_def.get(rid_d)
-                barrier = shadow[0].id if shadow else sys.maxsize
                 for rid in alias_candidates(rid_d, res_d, space, oracle):
                     stats.table_probes += 1
-                    for user, upos in later_uses.get(rid, ()):
-                        if user.id <= barrier:
-                            delay = machine.arc_delay(
-                                DepType.RAW, node.instr, user.instr,
-                                res_d, dpos, upos)
-                            emit(node, user, DepType.RAW, delay, res_d)
-                    for definer, _ in later_defs.get(rid, ()):
-                        if definer.id <= barrier:
-                            delay = machine.arc_delay(
-                                DepType.WAW, node.instr, definer.instr,
-                                res_d)
-                            emit(node, definer, DepType.WAW, delay,
-                                 res_d)
+                    users = later_uses.get(rid, ())
+                    definers = later_defs.get(rid, ())
+                    if shadow is not None:
+                        users = users[_at_or_before(users, shadow[0]):]
+                        definers = definers[
+                            _at_or_before(definers, shadow[0]):]
+                    for user, upos in users:
+                        delay = machine.arc_delay(
+                            DepType.RAW, node.instr, user.instr,
+                            res_d, dpos, upos)
+                        emit(node, user, DepType.RAW, delay, res_d)
+                    for definer, _ in definers:
+                        delay = machine.arc_delay(
+                            DepType.WAW, node.instr, definer.instr,
+                            res_d)
+                        emit(node, definer, DepType.WAW, delay, res_d)
 
         def do_uses(node: DagNode, uses: list[tuple[int, int]]) -> None:
             assert node.instr is not None

@@ -1124,6 +1124,17 @@ class ReproServer:
         if self._early_drain:
             self._drain_event.set()
         parsed = parse_address(self.config.address, bind=True)
+        tparsed = None
+        if self.config.telemetry is not None:
+            # Same loopback-only enforcement as the main listener; a
+            # unix path would technically work but scrapers speak TCP.
+            # Checked before anything is bound, so a refusal leaves no
+            # listener open.
+            tparsed = parse_address(self.config.telemetry, bind=True)
+            if tparsed[0] != "tcp":
+                raise ReproError(
+                    f"telemetry address must be TCP "
+                    f"(host:port or port), got {self.config.telemetry!r}")
         if parsed[0] == "unix":
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=parsed[1],
@@ -1132,17 +1143,14 @@ class ReproServer:
             self._server = await asyncio.start_server(
                 self._handle_connection, host=parsed[1],
                 port=parsed[2], limit=MAX_LINE_BYTES)
-        if self.config.telemetry is not None:
-            # Same loopback-only enforcement as the main listener; a
-            # unix path would technically work but scrapers speak TCP.
-            tparsed = parse_address(self.config.telemetry, bind=True)
-            if tparsed[0] != "tcp":
-                raise ReproError(
-                    f"telemetry address must be TCP "
-                    f"(host:port or port), got {self.config.telemetry!r}")
-            self._telemetry_server = await asyncio.start_server(
-                self._handle_telemetry, host=tparsed[1],
-                port=tparsed[2])
+        if tparsed is not None:
+            try:
+                self._telemetry_server = await asyncio.start_server(
+                    self._handle_telemetry, host=tparsed[1],
+                    port=tparsed[2])
+            except OSError:
+                self._server.close()
+                raise
         if self.overload_monitor is not None:
             self._overload_task = asyncio.ensure_future(
                 self._overload_loop())

@@ -37,7 +37,11 @@ def poll_ops(address: str, ops: tuple[str, ...] = ("health", "stats",
         if parsed[0] == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout_s)
-            sock.connect(parsed[1])
+            try:
+                sock.connect(parsed[1])
+            except OSError:
+                sock.close()
+                raise
         else:
             sock = socket.create_connection((parsed[1], parsed[2]),
                                             timeout=timeout_s)

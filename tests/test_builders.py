@@ -18,6 +18,7 @@ from repro.dag.builders import (
     TableForwardBuilder,
 )
 from repro.dag.bitmap import compute_reachability
+from repro.dag.builders.base import AliasOracle
 from repro.dep import DepType
 from repro.isa.memory import AliasPolicy
 from repro.machine import generic_risc
@@ -215,6 +216,50 @@ class TestWorkCounters:
         out = build(BitmapBackwardBuilder, SEQ, machine, uses_first=True)
         plain = build(TableBackwardBuilder, SEQ, machine)
         assert out.dag.n_arcs + out.stats.arcs_suppressed >= plain.dag.n_arcs
+
+
+def repeated_body(m: int, r: int) -> str:
+    """``r`` copies of a body that loads, bumps and stores ``m`` words."""
+    body = []
+    for k in range(m):
+        reg = f"%l{k % 8}"
+        body += [f"ld [%i0+{4 * k}], {reg}", f"add {reg}, 1, {reg}",
+                 f"st {reg}, [%i0+{4 * k}]"]
+    return "\n".join(body * r)
+
+
+class TestAliasSweepIsFlat:
+    """The table builders' aliasing sweep costs O(m**2), not O(r * m**2).
+
+    Each memory id's candidates are found once and then extended only
+    by ids interned since, so repeating a body that touches ``m``
+    distinct expressions adds no oracle calls.  Counting calls rather
+    than seconds keeps the test independent of host speed.
+    """
+
+    @pytest.mark.parametrize("cls", [TableForwardBuilder,
+                                     TableBackwardBuilder,
+                                     BitmapBackwardBuilder])
+    @pytest.mark.parametrize("policy", list(AliasPolicy))
+    def test_oracle_calls_do_not_grow_with_repetitions(
+            self, machine, monkeypatch, cls, policy):
+        calls = [0]
+        aliases = AliasOracle.aliases
+
+        def counted(self, *args):
+            calls[0] += 1
+            return aliases(self, *args)
+
+        monkeypatch.setattr(AliasOracle, "aliases", counted)
+        m = 6
+        per_r = {}
+        for r in (1, 4, 16):
+            calls[0] = 0
+            out = build(cls, repeated_body(m, r), machine,
+                        alias_policy=policy)
+            assert out.space.n_memory_exprs == m
+            per_r[r] = calls[0]
+        assert max(per_r.values()) <= m * m, per_r
 
 
 class TestMemoryPolicies:

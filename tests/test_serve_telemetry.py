@@ -7,9 +7,12 @@ client so the test pins the wire format, not an HTTP library's
 tolerance.
 """
 
+import gc
 import io
 import json
 import socket
+import sys
+import warnings
 
 import pytest
 
@@ -228,6 +231,42 @@ class TestTop:
     def test_unreachable_daemon_is_typed_error(self, tmp_path):
         with pytest.raises(ReproError, match="connect"):
             poll_ops(f"unix:{tmp_path}/absent.sock")
+
+
+def _gc_closed_sockets(case) -> list[str]:
+    """Run ``case`` and collect; what the collector had to close.
+
+    ``ResourceWarning`` is an error while the case runs, so an unclosed
+    socket's finalizer raises; finalizer exceptions are unraisable, so
+    they are caught through ``sys.unraisablehook``.
+    """
+    seen: list[str] = []
+    previous = sys.unraisablehook
+    sys.unraisablehook = lambda unraisable: seen.append(
+        repr(unraisable.exc_value))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            try:
+                case()
+            except ReproError:
+                pass
+            gc.collect()
+    finally:
+        sys.unraisablehook = previous
+    return seen
+
+
+class TestNoLeakedSockets:
+    def test_unreachable_daemon_poll_closes_its_socket(self, tmp_path):
+        assert _gc_closed_sockets(
+            lambda: poll_ops(f"unix:{tmp_path}/absent.sock")) == []
+
+    def test_refused_telemetry_closes_the_listener(self, tmp_path):
+        config = ServeConfig(address=f"unix:{tmp_path}/s.sock",
+                             telemetry="0.0.0.0:0")
+        assert _gc_closed_sockets(
+            lambda: BackgroundServer(config).start()) == []
 
 
 class TestOneSource:
