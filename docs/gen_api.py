@@ -62,6 +62,7 @@ MODULES = [
     "repro.serve.protocol", "repro.serve.admission",
     "repro.serve.overload",
     "repro.serve.engine", "repro.serve.server",
+    "repro.serve.client",
     "repro.serve.wal", "repro.serve.supervise",
     "repro.serve.loadtest", "repro.serve.chaosserve",
     "repro.serve.top",

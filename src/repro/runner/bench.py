@@ -159,7 +159,7 @@ def _bench_fpppp(machine: MachineModel, repeats: int,
     for size in (max(2, n // 32), max(2, n // 16), max(2, n // 8)):
         sub = fpppp_block(size)
         sub_s, sub_out = _best_of(
-            1, lambda sub=sub: n2_cls(machine).build(sub))
+            repeats, lambda sub=sub: n2_cls(machine).build(sub))
         curve.append({"n": len(sub.instructions),
                       "time_s": round(sub_s, 6),
                       "comparisons": sub_out.stats.comparisons})

@@ -13,13 +13,18 @@ journal semantics, chaos) earns its keep under live traffic:
   backpressure with explicit 429-style load shedding.
 * :mod:`repro.serve.engine` -- per-request execution: deadline
   propagation down to :func:`~repro.runner.fallback.\
-schedule_block_resilient` wall-clock budgets, per-thread warm
-  :class:`~repro.dag.builders.cache.PairwiseCache`, and shed
-  accounting (scheduled + degraded + shed + quarantined = total).
+schedule_block_resilient` wall-clock budgets and shed accounting
+  (scheduled + degraded + shed + quarantined = total).
 * :mod:`repro.serve.server` -- the asyncio daemon: unix-socket or
-  localhost-TCP listener, health/readiness endpoints wired to pool
-  and breaker state, and graceful drain on SIGTERM (stop admitting,
+  localhost-TCP listener, one warm
+  :class:`~repro.dag.builders.cache.PairwiseCache` per (executor
+  thread, machine), health/readiness endpoints wired to pool and
+  breaker state, and graceful drain on SIGTERM (stop admitting,
   finish or shed in-flight blocks, exit 0).
+* :mod:`repro.serve.client` -- the client side of the protocol, which
+  every harness below and ``repro top`` use: one request's exchange
+  to its terminal frame, one-op round trips, the settle poll, and a
+  blocking connection.
 * :mod:`repro.serve.loadtest` -- the seeded ``repro loadtest`` client:
   p50/p99 latency, throughput, shed rate, and error-budget report
   through the obs metrics registry.

@@ -1,4 +1,4 @@
-"""Per-request execution: deadlines, warm caches, shed accounting.
+"""Per-request execution: deadlines, WAL replays, shed accounting.
 
 :func:`run_request` is the bridge between one admitted wire request
 and the existing resilient runner.  Its contract is the accounting
@@ -24,18 +24,16 @@ gets ``min(block_wall_s, time left)`` and a single pathological block
 cannot blow through the request deadline by more than the watchdog's
 check interval.
 
-Caches are warm but not shared: :class:`PairwiseCache` is a plain
-``OrderedDict`` LRU with no locking, so the engine keeps one cache
-per (executor thread, machine) pair.  Requests served by the same
-thread reuse each other's dependence work -- the repeated-kernel
-traffic a scheduling service actually sees -- without a lock on the
-hot path.  :func:`cache_stats` aggregates hit/miss/size across all
-live thread caches for the health endpoint.
+The dependence cache is the caller's: the daemon passes the warm
+per-(executor thread, machine) :class:`PairwiseCache` its
+:class:`~repro.serve.server.ReproServer` keeps, so requests served by
+the same thread reuse each other's dependence work -- the
+repeated-kernel traffic a scheduling service actually sees -- without
+a lock on the hot path.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable
 
@@ -57,85 +55,6 @@ from repro.serve.protocol import (
 )
 from repro.cfg import apply_window, partition_blocks, pin_delay_slot_occupants
 from repro.workloads.kernels import straightline_body, straightline_source
-
-#: per-(thread, machine) warm caches; see module docstring.  The
-#: registry keeps ``(thread_name, machine_name, cache)`` so the
-#: health endpoint can report each warm cache individually.
-_thread_caches = threading.local()
-_all_caches: list[tuple[str, str, PairwiseCache]] = []
-_all_caches_lock = threading.Lock()
-
-
-def warm_cache(machine_name: str,
-               max_entries: int = 512) -> PairwiseCache:
-    """This thread's warm dependence cache for ``machine_name``.
-
-    Created on first use, LRU-capped at ``max_entries``, and
-    registered so :func:`cache_stats` / :func:`cache_details` can
-    report across threads.
-    """
-    caches = getattr(_thread_caches, "caches", None)
-    if caches is None:
-        caches = _thread_caches.caches = {}
-    cache = caches.get(machine_name)
-    if cache is None:
-        cache = caches[machine_name] = PairwiseCache(
-            max_entries=max_entries)
-        with _all_caches_lock:
-            _all_caches.append((threading.current_thread().name,
-                                machine_name, cache))
-    elif cache.max_entries != max_entries:
-        # The degradation ladder clamps warm caches at L1+ and
-        # restores them on descent; resizing here keeps the mutation
-        # on the cache's owning thread (the caches are lock-free).
-        cache.resize(max_entries)
-    return cache
-
-
-def cache_stats() -> dict:
-    """Aggregate hit/miss/size over every live warm cache."""
-    with _all_caches_lock:
-        caches = [c for _t, _m, c in _all_caches]
-    hits = sum(c.hits for c in caches)
-    misses = sum(c.misses for c in caches)
-    return {"caches": len(caches), "hits": hits, "misses": misses,
-            "bundle_hits": sum(c.bundle_hits for c in caches),
-            "entries": sum(len(c) for c in caches),
-            "recipes": sum(c.info()["recipes"] for c in caches),
-            "hit_rate": round(hits / (hits + misses), 4)
-            if hits + misses else 0.0}
-
-
-def release_caches() -> int:
-    """Drop every warm cache's entries; returns entries released.
-
-    The degradation ladder's emergency action (L4): nothing new is
-    being admitted, so reclaiming the dependence caches is the
-    biggest memory lever left.  Best-effort against a request still
-    draining on another thread -- a concurrently-cleared entry just
-    costs that request a rebuild, never correctness (every dict
-    operation is individually atomic under the GIL).
-    """
-    with _all_caches_lock:
-        caches = [c for _t, _m, c in _all_caches]
-    released = sum(len(c) for c in caches)
-    for cache in caches:
-        cache.clear()
-    return released
-
-
-def cache_details() -> list[dict]:
-    """Per-(thread, machine) warm-cache ``info()`` rows.
-
-    The health endpoint exposes these so an operator can see which
-    executor threads are actually warm (``hits``/``bundle_hits``
-    climbing) and which machines they are warm *for*.
-    """
-    with _all_caches_lock:
-        entries = list(_all_caches)
-    return [dict(thread=thread, machine=machine, **cache.info())
-            for thread, machine, cache in entries]
-
 
 def request_blocks(request: ScheduleRequest,
                    max_blocks: int | None = None) -> list[BasicBlock]:
@@ -230,9 +149,9 @@ def run_request(request: ScheduleRequest,
         block_wall_s: per-attempt wall-clock cap, further tightened to
             the time left before the request's deadline.
         max_work: per-attempt construction-work budget.
-        cache: dependence cache override; default is this thread's
-            warm per-machine cache.  With ``jobs >= 2`` each pool
-            worker builds its own instead.
+        cache: dependence cache; default is a fresh one for this
+            request.  With ``jobs >= 2`` each pool worker builds its
+            own instead.
         metrics: optional registry: per-block structure, outcome and
             builder counters (the same stable set at every ``jobs``
             value, WAL replays included) plus the deadline counter.
@@ -267,7 +186,7 @@ def run_request(request: ScheduleRequest,
         ``scheduled + degraded + quarantined + shed == n_blocks``.
     """
     if cache is None:
-        cache = warm_cache(request.machine)
+        cache = PairwiseCache()
     tracer = tracer if tracer is not None else NULL_TRACER
     t0 = clock()
     deadline = (t0 + request.deadline_s

@@ -29,13 +29,13 @@ import hashlib
 import json
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, record_request
-from repro.serve import protocol
+from repro.serve import client
 from repro.serve.overload import is_priority_tenant
-from repro.serve.protocol import parse_address
 
 #: kernels the generator draws from (all in workloads.kernels)
 MIX_KERNELS = ("daxpy", "dot_product", "livermore1", "figure1")
@@ -273,351 +273,138 @@ class LoadtestReport:
         return doc
 
 
-async def _open(address: str):
-    kind = parse_address(address)
-    if kind[0] == "unix":
-        return await asyncio.open_unix_connection(
-            kind[1], limit=protocol.MAX_LINE_BYTES)
-    return await asyncio.open_connection(
-        kind[1], kind[2], limit=protocol.MAX_LINE_BYTES)
-
-
-async def _drive_one(reader, writer, message: dict,
-                     report: LoadtestReport, lock: asyncio.Lock,
-                     metrics: MetricsRegistry | None,
-                     timeout_s: float) -> None:
-    """Send one request, consume its stream to the terminal frame."""
-    t0 = time.perf_counter()
-    writer.write(protocol.encode(message))
-    await writer.drain()
-    status = "client-timeout"
-    blocks = 0
-    shed: dict[str, int] = {}
-    deadline_met = None
-    traced = 0
-    mismatched = 0
-    expected_trace = message.get("trace")
-    try:
-        while True:
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=timeout_s)
-            if not line:
-                status = "disconnected"
-                break
-            frame = protocol.decode(line)
-            if frame.get("id") != message["id"]:
-                continue
-            if expected_trace is not None:
-                # End-to-end id propagation: every frame of a traced
-                # request must echo the client-minted id verbatim.
-                if frame.get("trace") == expected_trace:
-                    traced += 1
-                else:
-                    mismatched += 1
-            kind = frame.get("type")
-            if kind == "block":
-                blocks += 1
-            elif kind == "shed":
-                shed[frame["reason"]] = shed.get(frame["reason"], 0) + 1
-            elif kind == "done":
-                status = "ok"
-                deadline_met = frame["summary"].get("deadline_met")
-                break
-            elif kind == "rejected":
-                status = f"rejected:{frame['reason']}"
-                break
-            elif kind == "error":
-                status = "error"
-                break
-    except asyncio.TimeoutError:
-        status = "client-timeout"
-    latency = time.perf_counter() - t0
-
-    async with lock:
-        report.sent += 1
-        report.traced_frames += traced
-        report.trace_mismatches += mismatched
-        report.blocks_done += blocks
-        for reason, count in shed.items():
-            report.blocks_shed += count
-            report.shed_by_reason[reason] = \
-                report.shed_by_reason.get(reason, 0) + count
-        if status == "ok":
-            report.completed += 1
-            report.latencies_s.append(latency)
-            if "deadline_s" in message:
-                report.deadlined += 1
-                if deadline_met:
-                    report.deadlines_met += 1
-        elif status.startswith("rejected:"):
-            report.rejected += 1
-            reason = status.split(":", 1)[1]
-            report.rejections_by_reason[reason] = \
-                report.rejections_by_reason.get(reason, 0) + 1
-        else:
-            report.errored += 1
-        if metrics is not None:
-            record_request(metrics, message.get("tenant", "default"),
-                           "ok" if status == "ok" else status,
-                           latency)
-
-
-async def _drive_retry(reader, writer, message: dict,
-                       report: LoadtestReport, lock: asyncio.Lock,
-                       timeout_s: float) -> None:
-    """Resend a finished key; classify the daemon's answer.
-
-    The main mix has fully settled, so every resent key has a
-    terminal WAL record and the only correct ``done`` answer carries
-    ``deduped: true`` -- a replay from the result store.  A ``done``
-    *without* it means the daemon executed the work a second time:
-    that is a double-schedule, counted in ``duplicate_results``.
-    """
-    writer.write(protocol.encode(message))
-    await writer.drain()
-    status = "client-timeout"
-    deduped = False
-    try:
-        while True:
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=timeout_s)
-            if not line:
-                status = "disconnected"
-                break
-            frame = protocol.decode(line)
-            if frame.get("id") != message["id"]:
-                continue
-            kind = frame.get("type")
-            if kind == "done":
-                status = "ok"
-                deduped = bool(frame.get("deduped"))
-                break
-            if kind == "rejected":
-                status = "rejected"
-                break
-            if kind == "error":
-                status = "error"
-                break
-    except asyncio.TimeoutError:
-        status = "client-timeout"
-    async with lock:
-        report.retries_sent += 1
-        if status == "ok" and deduped:
-            report.retries_deduped += 1
-        elif status == "ok":
-            report.duplicate_results += 1
-        else:
-            report.retries_rejected += 1
-
-
 def _storm_class_stats() -> dict:
     return {"sent": 0, "completed": 0, "rejected_overload": 0,
             "rejected_other": 0, "errored": 0, "retries": 0,
             "deadlined": 0, "deadlines_met": 0, "latencies": []}
 
 
-async def _poll_stats(address: str, timeout_s: float = 5.0) -> dict:
-    """One ``stats`` round trip on a fresh connection."""
-    reader, writer = await _open(address)
-    try:
-        writer.write(protocol.encode({"op": "stats",
-                                      "id": "storm-stats"}))
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(),
-                                      timeout=timeout_s)
-        if not line:
-            raise ReproError(
-                f"stats poll of {address!r}: daemon hung up")
-        return protocol.decode(line)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+def _tally(report: LoadtestReport, message: dict,
+           reply: client.Reply) -> None:
+    """Count one request under its final outcome."""
+    report.sent += 1
+    report.blocks_done += reply.blocks
+    for reason, count in reply.shed.items():
+        report.blocks_shed += count
+        report.shed_by_reason[reason] = \
+            report.shed_by_reason.get(reason, 0) + count
+    if reply.status == "ok":
+        report.completed += 1
+        report.latencies_s.append(reply.latency_s)
+        if "deadline_s" in message:
+            report.deadlined += 1
+            if reply.deadline_met:
+                report.deadlines_met += 1
+    elif reply.status == "rejected":
+        report.rejected += 1
+        report.rejections_by_reason[reply.reason] = \
+            report.rejections_by_reason.get(reply.reason, 0) + 1
+    else:
+        report.errored += 1
 
 
-async def _storm_attempt(reader, writer, message: dict,
-                         timeout_s: float) -> dict:
-    """One storm send; returns the terminal outcome of the stream."""
-    t0 = time.perf_counter()
-    writer.write(protocol.encode(message))
-    await writer.drain()
-    outcome = {"status": "client-timeout", "reason": None,
-               "retry_after_s": None, "blocks": 0, "shed": {},
-               "deadline_met": None, "latency_s": 0.0}
-    try:
-        while True:
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=timeout_s)
-            if not line:
-                outcome["status"] = "disconnected"
-                break
-            frame = protocol.decode(line)
-            if frame.get("id") != message["id"]:
-                continue
-            kind = frame.get("type")
-            if kind == "block":
-                outcome["blocks"] += 1
-            elif kind == "shed":
-                shed = outcome["shed"]
-                shed[frame["reason"]] = shed.get(frame["reason"],
-                                                 0) + 1
-            elif kind == "done":
-                outcome["status"] = "ok"
-                outcome["deadline_met"] = \
-                    frame["summary"].get("deadline_met")
-                break
-            elif kind == "rejected":
-                outcome["status"] = "rejected"
-                outcome["reason"] = frame.get("reason", "unknown")
-                outcome["retry_after_s"] = frame.get("retry_after_s")
-                break
-            elif kind == "error":
-                outcome["status"] = "error"
-                break
-    except asyncio.TimeoutError:
-        outcome["status"] = "client-timeout"
-    outcome["latency_s"] = time.perf_counter() - t0
-    return outcome
+async def _pool(config: LoadtestConfig, messages: list[dict],
+                drive) -> None:
+    """``config.concurrency`` connections work through ``messages``.
 
-
-async def _drive_storm(reader, writer, message: dict,
-                       report: LoadtestReport, classes: dict,
-                       lock: asyncio.Lock,
-                       metrics: MetricsRegistry | None,
-                       timeout_s: float) -> None:
-    """Drive one storm request with class-aware retry behaviour.
-
-    Priority-class clients honour the rejection's ``retry_after_s``
-    hint (capped at :data:`STORM_RETRY_CAP_S`) and resend up to
-    :data:`STORM_PRIORITY_RETRIES` times under a fresh request id;
-    best-effort clients take the typed rejection and leave.  The
-    request counts once in the report, under its final outcome.
+    ``drive(reader, writer, message)`` runs one message to its end.
     """
-    tenant = message.get("tenant", "")
-    cls = ("priority" if is_priority_tenant(tenant, ())
-           else "best-effort")
-    attempts = 0
-    while True:
-        wire = message
-        if attempts:
-            wire = dict(message,
-                        id=f"{message['id']}-r{attempts}",
-                        trace=f"{message.get('trace', '')}"
-                              f"-r{attempts}")
-        outcome = await _storm_attempt(reader, writer, wire,
-                                       timeout_s)
-        if (outcome["status"] == "rejected" and cls == "priority"
-                and attempts < STORM_PRIORITY_RETRIES):
-            attempts += 1
-            hint = outcome["retry_after_s"]
-            if not isinstance(hint, (int, float)) or hint <= 0:
-                hint = 0.05
-            await asyncio.sleep(min(STORM_RETRY_CAP_S, hint))
-            continue
-        break
-    status = outcome["status"]
-    async with lock:
-        stats = classes[cls]
-        report.sent += 1
-        stats["sent"] += 1
-        stats["retries"] += attempts
-        report.blocks_done += outcome["blocks"]
-        for reason, count in outcome["shed"].items():
-            report.blocks_shed += count
-            report.shed_by_reason[reason] = \
-                report.shed_by_reason.get(reason, 0) + count
-        if status == "ok":
-            report.completed += 1
-            report.latencies_s.append(outcome["latency_s"])
-            stats["completed"] += 1
-            stats["latencies"].append(outcome["latency_s"])
-            if "deadline_s" in message:
-                report.deadlined += 1
-                stats["deadlined"] += 1
-                if outcome["deadline_met"]:
-                    report.deadlines_met += 1
-                    stats["deadlines_met"] += 1
-        elif status == "rejected":
-            reason = outcome["reason"] or "unknown"
-            report.rejected += 1
-            report.rejections_by_reason[reason] = \
-                report.rejections_by_reason.get(reason, 0) + 1
-            if reason == "overload":
-                stats["rejected_overload"] += 1
-            else:
-                stats["rejected_other"] += 1
-        else:
-            report.errored += 1
-            stats["errored"] += 1
-        if metrics is not None:
-            record_request(metrics, tenant,
-                           "ok" if status == "ok" else status,
-                           outcome["latency_s"])
+    queue = deque(messages)
+
+    async def worker() -> None:
+        reader, writer = await client.connect(config.address)
+        try:
+            while queue:
+                await drive(reader, writer, queue.popleft())
+        finally:
+            await client.close(writer)
+
+    await asyncio.gather(*(worker() for _ in range(config.concurrency)))
 
 
 async def _run_storm(config: LoadtestConfig, mix: list[dict],
                      report: LoadtestReport,
                      metrics: MetricsRegistry | None) -> None:
-    """The storm phase: flood, sample the ladder, wait for recovery."""
-    lock = asyncio.Lock()
+    """The storm phase: flood, sample the ladder, wait for recovery.
+
+    Priority-class clients honour a rejection's ``retry_after_s``
+    hint (capped at :data:`STORM_RETRY_CAP_S`) and resend up to
+    :data:`STORM_PRIORITY_RETRIES` times under a fresh request id;
+    best-effort clients take the typed rejection and leave.  A
+    request counts once, under its final outcome.
+    """
     classes = {"priority": _storm_class_stats(),
                "best-effort": _storm_class_stats()}
     trajectory = {"levels_seen": set(), "max_level": 0, "samples": 0}
     stop = asyncio.Event()
 
-    def _record_sample(overload: dict) -> None:
+    async def drive(reader, writer, message: dict) -> None:
+        tenant = message.get("tenant", "")
+        cls = ("priority" if is_priority_tenant(tenant, ())
+               else "best-effort")
+        reply = await client.exchange(reader, writer, message,
+                                      config.timeout_s)
+        attempts = 0
+        while (reply.status == "rejected" and cls == "priority"
+               and attempts < STORM_PRIORITY_RETRIES):
+            attempts += 1
+            hint = reply.retry_after_s
+            if not isinstance(hint, (int, float)) or hint <= 0:
+                hint = 0.05
+            await asyncio.sleep(min(STORM_RETRY_CAP_S, hint))
+            reply = await client.exchange(
+                reader, writer,
+                dict(message, id=f"{message['id']}-r{attempts}",
+                     trace=f"{message.get('trace', '')}-r{attempts}"),
+                config.timeout_s)
+        _tally(report, message, reply)
+        stats = classes[cls]
+        stats["sent"] += 1
+        stats["retries"] += attempts
+        if reply.status == "ok":
+            stats["completed"] += 1
+            stats["latencies"].append(reply.latency_s)
+            if "deadline_s" in message:
+                stats["deadlined"] += 1
+                if reply.deadline_met:
+                    stats["deadlines_met"] += 1
+        elif reply.status == "rejected":
+            stats["rejected_overload" if reply.reason == "overload"
+                  else "rejected_other"] += 1
+        else:
+            stats["errored"] += 1
+        if metrics is not None:
+            record_request(metrics, tenant, reply.status,
+                           reply.latency_s)
+
+    async def sample() -> dict | None:
+        """One ``stats`` poll folded into the trajectory (None when
+        the poll failed)."""
+        try:
+            frame = await client.op(config.address, "stats",
+                                    timeout_s=5.0)
+        except ReproError:
+            return None
+        overload = frame.get("overload") or {}
         level = int(overload.get("level", 0))
         trajectory["levels_seen"].add(level)
         trajectory["max_level"] = max(
             trajectory["max_level"], level,
             int(overload.get("max_level", level)))
         trajectory["samples"] += 1
+        return overload
 
     async def sampler() -> None:
         while not stop.is_set():
-            try:
-                frame = await _poll_stats(config.address)
-                _record_sample(frame.get("overload") or {})
-            except (ReproError, OSError, ValueError):
-                pass
+            await sample()
             try:
                 await asyncio.wait_for(stop.wait(), timeout=0.2)
             except asyncio.TimeoutError:
                 pass
 
-    queue: asyncio.Queue = asyncio.Queue()
-    for message in mix:
-        queue.put_nowait(message)
-
-    async def worker() -> None:
-        try:
-            reader, writer = await _open(config.address)
-        except (ConnectionError, FileNotFoundError, OSError) as exc:
-            raise ReproError(
-                f"loadtest cannot connect to {config.address!r}: "
-                f"{exc}")
-        try:
-            while True:
-                try:
-                    message = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
-                await _drive_storm(reader, writer, message, report,
-                                   classes, lock, metrics,
-                                   config.timeout_s)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     sampler_task = asyncio.ensure_future(sampler())
     try:
-        await asyncio.gather(*(worker()
-                               for _ in range(config.concurrency)))
+        await _pool(config, mix, drive)
     finally:
         stop.set()
         await sampler_task
@@ -635,17 +422,14 @@ async def _run_storm(config: LoadtestConfig, mix: list[dict],
     deadline = start + max(0.0, config.cooldown_s)
     grace = start + min(2.0, max(0.0, config.cooldown_s))
     while True:
-        try:
-            frame = await _poll_stats(config.address)
-            final = frame.get("overload") or {}
-            _record_sample(final)
+        overload = await sample()
+        if overload is not None:
+            final = overload
             if int(final.get("level", 0)) == 0 \
                     and (trajectory["max_level"] > 0
                          or time.perf_counter() >= grace):
                 recovered = True
                 break
-        except (ReproError, OSError, ValueError):
-            pass
         if time.perf_counter() >= deadline:
             break
         await asyncio.sleep(0.25)
@@ -679,43 +463,42 @@ async def _run_storm(config: LoadtestConfig, mix: list[dict],
 async def _run(config: LoadtestConfig, mix: list[dict],
                report: LoadtestReport,
                metrics: MetricsRegistry | None) -> None:
-    lock = asyncio.Lock()
+    """The plain mix, then the idempotency-retry phase if enabled."""
 
-    async def phase(messages: list[dict], drive) -> None:
-        queue: asyncio.Queue = asyncio.Queue()
-        for message in messages:
-            queue.put_nowait(message)
+    async def drive(reader, writer, message: dict) -> None:
+        reply = await client.exchange(reader, writer, message,
+                                      config.timeout_s)
+        # End-to-end id propagation: every frame of a traced request
+        # must echo the client-minted id verbatim.
+        report.traced_frames += reply.traced
+        report.trace_mismatches += reply.mismatched
+        _tally(report, message, reply)
+        if metrics is not None:
+            status = reply.status
+            if status == "rejected":
+                status = f"rejected:{reply.reason}"
+            record_request(metrics, message.get("tenant", "default"),
+                           status, reply.latency_s)
 
-        async def worker() -> None:
-            try:
-                reader, writer = await _open(config.address)
-            except (ConnectionError, FileNotFoundError, OSError) as exc:
-                raise ReproError(
-                    f"loadtest cannot connect to {config.address!r}: "
-                    f"{exc}")
-            try:
-                while True:
-                    try:
-                        message = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        return
-                    await drive(reader, writer, message)
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+    async def resend(reader, writer, message: dict) -> None:
+        # The main mix has fully settled, so every resent key has a
+        # terminal WAL record and the only correct ``done`` answer
+        # carries ``deduped: true`` -- a replay from the result
+        # store.  A ``done`` *without* it means the daemon executed
+        # the work a second time: a double-schedule.
+        reply = await client.exchange(reader, writer, message,
+                                      config.timeout_s)
+        report.retries_sent += 1
+        if reply.deduped:
+            report.retries_deduped += 1
+        elif reply.status == "ok":
+            report.duplicate_results += 1
+        else:
+            report.retries_rejected += 1
 
-        await asyncio.gather(*(worker()
-                               for _ in range(config.concurrency)))
-
-    await phase(mix, lambda r, w, m: _drive_one(
-        r, w, m, report, lock, metrics, config.timeout_s))
+    await _pool(config, mix, drive)
     if config.idempotency_retry > 0:
-        await phase(generate_retry_mix(config, mix),
-                    lambda r, w, m: _drive_retry(
-                        r, w, m, report, lock, config.timeout_s))
+        await _pool(config, generate_retry_mix(config, mix), resend)
 
 
 def run_loadtest(config: LoadtestConfig,

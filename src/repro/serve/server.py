@@ -51,6 +51,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.dag.builders import PairwiseCache
 from repro.errors import JournalError, ReproError, RequestRejected
 from repro.machine.presets import MACHINES
 from repro.obs.expo import (
@@ -69,14 +70,7 @@ from repro.runner.journal import read_snapshot, write_snapshot
 from repro.runner.supervisor import CircuitBreaker, RetryPolicy
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
-from repro.serve.engine import (
-    cache_details,
-    cache_stats,
-    release_caches,
-    request_blocks,
-    run_request,
-    warm_cache,
-)
+from repro.serve.engine import request_blocks, run_request
 from repro.serve.overload import (
     L_BROWNOUT,
     L_EMERGENCY,
@@ -100,6 +94,7 @@ from repro.serve.wal import (
     FINISHED_ABANDONED,
     FINISHED_ERROR,
     FINISHED_OK,
+    WalRecovery,
     WriteAheadLog,
 )
 
@@ -323,6 +318,12 @@ class ReproServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=config.workers,
             thread_name_prefix="repro-serve")
+        #: warm dependence caches by (executor thread name, machine):
+        #: a :class:`PairwiseCache` takes no lock, so each is used
+        #: only by its own thread; requests that thread serves reuse
+        #: each other's dependence work
+        self._caches: dict[tuple[str, str], PairwiseCache] = {}
+        self._caches_lock = threading.Lock()
         self._retry = RetryPolicy(base_delay=0.01, max_delay=0.2)
         self._active: set[_Active] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
@@ -423,8 +424,47 @@ class ReproServer:
                             "Accepted-but-unfinished WAL requests "
                             "re-run since daemon start.",
                             read=lambda: stats.requests_recovered)
-        read_cache_size(metrics, cache_stats)
+        read_cache_size(metrics, self._cache_stats)
         self.window.register(metrics)
+
+    # -- warm caches --------------------------------------------------------
+
+    def _warm_cache(self, machine_name: str,
+                    max_entries: int) -> PairwiseCache:
+        """The calling executor thread's cache for ``machine_name``.
+
+        Created on first use.  The degradation ladder clamps warm
+        caches at L1+ and restores them on descent; resizing here
+        keeps that mutation on the cache's owning thread.
+        """
+        key = (threading.current_thread().name, machine_name)
+        with self._caches_lock:
+            cache = self._caches.get(key)
+            if cache is None:
+                cache = self._caches[key] = PairwiseCache(
+                    max_entries=max_entries)
+        if cache.max_entries != max_entries:
+            cache.resize(max_entries)
+        return cache
+
+    def _cache_details(self) -> list[dict]:
+        """One ``info()`` row per (thread, machine) warm cache."""
+        with self._caches_lock:
+            caches = list(self._caches.items())
+        return [dict(thread=thread, machine=machine, **cache.info())
+                for (thread, machine), cache in caches]
+
+    def _cache_stats(self) -> dict:
+        """Hit/miss/size totals over this server's warm caches."""
+        rows = self._cache_details()
+        hits = sum(row["hits"] for row in rows)
+        misses = sum(row["misses"] for row in rows)
+        return {"caches": len(rows), "hits": hits, "misses": misses,
+                "bundle_hits": sum(row["bundle_hits"] for row in rows),
+                "entries": sum(row["entries"] for row in rows),
+                "recipes": sum(row["recipes"] for row in rows),
+                "hit_rate": round(hits / (hits + misses), 4)
+                if hits + misses else 0.0}
 
     def _remember_finished(self, key: str, entry: dict) -> None:
         """LRU-insert one finished key into the dedup index."""
@@ -445,7 +485,7 @@ class ReproServer:
             return
         write_snapshot(path, {
             "admission": self.admission.export_state(),
-            "cache": cache_stats(),
+            "cache": self._cache_stats(),
         })
 
     # -- overload control ---------------------------------------------------
@@ -486,7 +526,13 @@ class ReproServer:
         if event.to_level >= L_EMERGENCY:
             # Emergency: nothing new admits, so the warm dependence
             # caches are the biggest reclaimable allocation left.
-            release_caches()
+            # Best-effort against a request still draining on another
+            # thread: a concurrently cleared entry costs that request
+            # a rebuild, never correctness.
+            with self._caches_lock:
+                caches = list(self._caches.values())
+            for cache in caches:
+                cache.clear()
 
     async def _overload_loop(self) -> None:
         """The monitor's periodic tick, on the event loop.
@@ -567,8 +613,8 @@ class ReproServer:
             "draining": snapshot["draining"],
             "occupancy": snapshot["occupancy"],
             "workers": self.config.workers,
-            "cache": cache_stats(),
-            "cache_threads": cache_details(),
+            "cache": self._cache_stats(),
+            "cache_threads": self._cache_details(),
             "wal": {
                 "enabled": self.wal is not None,
                 "replayed": self.stats.wal_replayed,
@@ -602,7 +648,7 @@ class ReproServer:
             stats = self.stats.to_dict()
         return {"type": "stats", "server": stats,
                 "admission": self.admission.snapshot(),
-                "cache": cache_stats(),
+                "cache": self._cache_stats(),
                 "overload": (self.overload_monitor.snapshot()
                              if self.overload_monitor is not None
                              else {"enabled": False})}
@@ -664,7 +710,7 @@ class ReproServer:
                 chain_names=chain,
                 block_wall_s=cfg.block_wall_s,
                 max_work=cfg.max_work,
-                cache=warm_cache(request.machine, cache_entries),
+                cache=self._warm_cache(request.machine, cache_entries),
                 metrics=self._engine_metrics,
                 breaker=self.breaker,
                 cancelled=lambda: active.cancel_reason
@@ -975,17 +1021,13 @@ class ReproServer:
                         None, self.wal.log_finished, key,
                         FINISHED_ERROR, {"error": str(exc)})
                     continue
-                completed = dict(entry["blocks"])
-                for index, reason in entry["sheds"].items():
-                    completed.setdefault(
-                        index, {"type": "shed", "index": index,
-                                "reason": reason})
                 active = _Active(request, None, key=key)
                 with self._stats_lock:
                     self.stats.requests_recovered += 1
-                await self._execute(active, blocks, entry["request"],
-                                    None, None, completed=completed,
-                                    log_accept=False)
+                await self._execute(
+                    active, blocks, entry["request"], None, None,
+                    completed=WalRecovery.completed_map(entry),
+                    log_accept=False)
             finally:
                 self._inflight_keys.discard(key)
 

@@ -15,12 +15,10 @@ deterministic for a given server state and trivially testable.
 
 from __future__ import annotations
 
-import json
-import socket
 import time
 
 from repro.errors import ReproError
-from repro.serve.protocol import parse_address
+from repro.serve.client import Client
 
 
 def poll_ops(address: str, ops: tuple[str, ...] = ("health", "stats",
@@ -32,38 +30,8 @@ def poll_ops(address: str, ops: tuple[str, ...] = ("health", "stats",
         ReproError: when the daemon is unreachable or answers with
             something that is not a frame per op.
     """
-    parsed = parse_address(address)
-    try:
-        if parsed[0] == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout_s)
-            try:
-                sock.connect(parsed[1])
-            except OSError:
-                sock.close()
-                raise
-        else:
-            sock = socket.create_connection((parsed[1], parsed[2]),
-                                            timeout=timeout_s)
-    except (ConnectionError, FileNotFoundError, OSError) as exc:
-        raise ReproError(f"top cannot connect to {address!r}: {exc}")
-    try:
-        stream = sock.makefile("rw", encoding="utf-8")
-        frames: dict[str, dict] = {}
-        for op in ops:
-            stream.write(json.dumps({"op": op, "id": f"top-{op}"})
-                         + "\n")
-            stream.flush()
-            line = stream.readline()
-            if not line:
-                raise ReproError(
-                    f"daemon at {address!r} hung up mid-poll")
-            frames[op] = json.loads(line)
-        return frames
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"top poll of {address!r} failed: {exc}")
-    finally:
-        sock.close()
+    with Client(address, timeout_s) as conn:
+        return {op: conn.op(op) for op in ops}
 
 
 def _rate_line(window: dict) -> str:

@@ -81,7 +81,8 @@ class WalRecovery:
         self.dropped = 0
         self.replayed = 0
 
-    def completed_map(self, entry: dict) -> dict[int, dict]:
+    @staticmethod
+    def completed_map(entry: dict) -> dict[int, dict]:
         """An incomplete entry's blocks+sheds as an engine
         ``completed`` map (shed markers carry ``type: shed``)."""
         merged: dict[int, dict] = dict(entry["blocks"])

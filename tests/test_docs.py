@@ -1,9 +1,7 @@
 """Documentation integrity tests."""
 
-import json
 import pathlib
 import re
-import socket
 import subprocess
 import sys
 
@@ -82,22 +80,18 @@ class TestCrossReferences:
 class TestMetricCatalog:
     def test_every_daemon_family_has_a_row(self, tmp_path):
         from repro.obs import MetricsRegistry, parse_exposition
-        from repro.serve import protocol
+        from repro.serve.client import Client
         from repro.serve.server import BackgroundServer, ServeConfig
         config = ServeConfig(address=f"unix:{tmp_path}/s.sock",
                              wal_dir=str(tmp_path / "wal"))
         background = BackgroundServer(config,
                                       metrics=MetricsRegistry()).start()
         try:
-            with socket.socket(socket.AF_UNIX) as sock:
-                sock.connect(str(tmp_path / "s.sock"))
-                stream = sock.makefile("rwb")
-                stream.write(protocol.encode({
+            with Client(background.address) as conn:
+                reply = conn.exchange({
                     "op": "schedule", "id": "r", "verify": True,
-                    "workload": {"kernel": "daxpy", "copies": 2}}))
-                stream.flush()
-                while json.loads(stream.readline())["type"] != "done":
-                    pass
+                    "workload": {"kernel": "daxpy", "copies": 2}})
+            assert reply.status == "ok"
             exposition = background.server.exposition_text()
         finally:
             background.drain()
